@@ -178,8 +178,6 @@ CUBE_GROUP: tuple[Isometry, ...] = tuple(
     for flips in itertools.product((False, True), repeat=3)
 )
 
-IDENTITY = CUBE_GROUP[0]
-
 
 def apply_isometry(g: Isometry, ds: DigitSet) -> DigitSet:
     """Image of a digit set under one cube symmetry."""

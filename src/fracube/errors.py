@@ -46,7 +46,11 @@ class UnknownCode(FracubeError):
 
 
 class BudgetExceeded(FracubeError):
-    """Requested voxel depth exceeds the cell budget."""
+    """A request exceeds a fixed work budget: voxel cells or scan candidates."""
+
+
+class InvalidRequest(FracubeError, ValueError):
+    """Enumeration parameters are out of range."""
 
 
 class DepthTooSmall(FracubeError):

@@ -56,6 +56,9 @@ class _Tables:
     compat[u_idx] lists the offsets w reachable from u in one step together
     with the cell mask and index shift realizing delta = w - n*u: the digit
     pairs (d, d+delta) are exactly the labels of the edge u -> w.
+    pair_edges[a * ncells + b] lists the same edges by label: one
+    (u_idx, 1 << w_idx) per edge u -> w labelled (digit(a), digit(b)).  For
+    n >= 3 a difference of two digits realizes at most one edge.
     """
 
     def __init__(self, n: int):
@@ -64,11 +67,11 @@ class _Tables:
         self.ncells = ncells
         self.coords = [digit_from_cell(c, n) for c in range(ncells)]
         d = 2 * n - 1
-        self.dwidth = d
         self.d3 = d ** 3
 
         compat = []
-        for u in OFFSETS:
+        pair_edges: list[list[tuple[int, int]]] = [[] for _ in range(ncells * ncells)]
+        for u_idx, u in enumerate(OFFSETS):
             row = []
             axes = [(u[k],) if u[k] else (-1, 0, 1) for k in range(3)]
             for w in product(*axes):
@@ -79,9 +82,18 @@ class _Tables:
                     if all(0 <= xyz[k] + delta[k] < n for k in range(3)):
                         vmask |= 1 << c
                 shift = delta[0] + n * delta[1] + n * n * delta[2]
-                row.append((_IDX_OF_ENC[offset_enc(w)], vmask, shift))
+                v_idx = _IDX_OF_ENC[offset_enc(w)]
+                row.append((v_idx, vmask, shift))
+                edge = (u_idx, 1 << v_idx)
+                m = vmask
+                while m:
+                    low = m & -m
+                    a = low.bit_length() - 1
+                    pair_edges[a * ncells + a + shift].append(edge)
+                    m ^= low
             compat.append(tuple(row))
         self.compat = tuple(compat)
+        self.pair_edges = tuple(tuple(e) for e in pair_edges)
 
         # next2[s_enc * d3 + diff_enc] -> next difference state, -1 = escaped
         next2 = [-1] * (27 * self.d3)
@@ -103,11 +115,11 @@ class _Tables:
                     pair_off[(ax + n * ay + n * n * az) * ncells + b] = idx
         self.pair_off = bytes(pair_off)
 
-    def diff_enc(self, a: int, b: int) -> int:
-        """Encoded coordinate difference digit(a) - digit(b)."""
-        da, db = self.coords[a], self.coords[b]
-        d, n = self.dwidth, self.n
-        return (da[0] - db[0] + n - 1) + d * (da[1] - db[1] + n - 1) + d * d * (da[2] - db[2] + n - 1)
+        # pair_diff[a * ncells + b] = encoded digit(a) - digit(b), the index into
+        # next2; the encoding is linear, so it is a difference of per-cell terms
+        enc = [x + d * (y + d * z) for x, y, z in self.coords]
+        bias = (n - 1) * (1 + d + d * d)
+        self.pair_diff = [ea - eb + bias for ea in enc for eb in enc]
 
 
 @lru_cache(maxsize=8)
@@ -115,94 +127,79 @@ def tables_for_order(n: int) -> _Tables:
     return _Tables(n)
 
 
+def _successors(cells, tables: _Tables) -> list[int]:
+    """succ[u]: bitmask of the offsets w with an edge u -> w, by digit pairs."""
+    pair_edges = tables.pair_edges
+    ncells = tables.ncells
+    succ = [0] * 26
+    for a in cells:
+        row = a * ncells
+        for b in cells:
+            for u, bit in pair_edges[row + b]:
+                succ[u] |= bit
+    return succ
+
+
 def _scc_live(succ: list[int]) -> int:
     """Bitmask of offsets with an infinite outgoing path.
 
-    Tarjan's algorithm over the 26 offsets; a component is live when it
-    contains a cycle (size > 1 or a self-loop) or reaches a live one.
-    Components are emitted in reverse topological order, so one pass over
-    the emission order settles reachability.
+    The greatest fixpoint of "has a live successor": start with every offset
+    that has a successor and drop those whose successors are all dead until
+    a pass drops nothing.  The name predates the fixpoint; the benchmark's
+    trace wraps ``pipeline._scc_live`` under it.
     """
-    index = [-1] * 26
-    low = [0] * 26
-    on_stack = 0
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(26):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, stage = work.pop()
-            if stage == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack |= 1 << node
-            advanced = False
-            w = succ[node]
-            # iterate successors, resuming after the first `stage` bits
-            emitted = 0
-            while w:
-                bit = w & -w
-                child = bit.bit_length() - 1
-                w ^= bit
-                emitted += 1
-                if emitted <= stage:
-                    continue
-                if index[child] == -1:
-                    work.append((node, emitted))
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if on_stack >> child & 1:
-                    if low[child] < low[node]:
-                        low[node] = low[child]
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack &= ~(1 << top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
     live = 0
-    for comp in sccs:
-        is_live = False
-        if len(comp) > 1:
-            is_live = True
-        else:
-            u = comp[0]
-            if succ[u] >> u & 1 or succ[u] & live:
-                is_live = True
-        if not is_live:
-            is_live = any(succ[u] & live for u in comp)
-        if is_live:
-            for u in comp:
-                live |= 1 << u
-    return live
+    for u, s in enumerate(succ):
+        if s:
+            live |= 1 << u
+    while True:
+        before = live
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not succ[low.bit_length() - 1] & live:
+                live ^= low
+        if live == before:
+            return live
 
 
-def _escape_reachable(edge_lists, diffs, nlabels: int, start_idx: int, next2, d3: int) -> bool:
-    """True iff two live label paths from the start offset can diverge."""
+def _live_edges(cells, live: int, tables: _Tables) -> list[list[tuple[int, int]]]:
+    """edges[u]: (w_idx, a) for each edge u -> w into a live w, label (digit(a), .).
+
+    Entries are in increasing (a, b) label order, so edges[u][0] carries the
+    smallest label.
+    """
+    pair_edges = tables.pair_edges
+    ncells = tables.ncells
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(26)]
+    for a in cells:
+        row = a * ncells
+        for b in cells:
+            for u, bit in pair_edges[row + b]:
+                if bit & live:
+                    edges[u].append((bit.bit_length() - 1, a))
+    return edges
+
+
+def _escape_reachable(edges, start_idx: int, tables: _Tables) -> bool:
+    """True iff two live label paths from the start offset can diverge.
+
+    Searches the product of the live automaton with itself and the 27
+    difference states; ``edges`` is the output of :func:`_live_edges`.
+    """
+    next2, d3 = tables.next2, tables.d3
+    pair_diff, ncells = tables.pair_diff, tables.ncells
     start = (start_idx * 26 + start_idx) * 27 + ZERO_ENC
     seen = {start}
     todo = [(start_idx, start_idx, ZERO_ENC)]
     while todo:
         u1, u2, s = todo.pop()
         sbase = s * d3
-        for v1, l1 in edge_lists[u1]:
-            row = l1 * nlabels
-            for v2, l2 in edge_lists[u2]:
-                ns = next2[sbase + diffs[row + l2]]
+        for v1, a1 in edges[u1]:
+            row = a1 * ncells
+            for v2, a2 in edges[u2]:
+                ns = next2[sbase + pair_diff[row + a2]]
                 if ns < 0:
                     return True
                 key = (v1 * 26 + v2) * 27 + ns
@@ -278,7 +275,9 @@ class NeighborAutomaton:
 
     ``edges[u]`` holds (d, d', target) triples sorted by label; ``live``
     is the set of offsets that start an infinite path, i.e. have a
-    nonempty face.
+    nonempty face.  Liveness and the face decisions use the same kernel as
+    the enumeration scan; ``edges`` is built separately from the
+    per-offset cell masks.
     """
 
     def __init__(self, digitset: DigitSet):
@@ -287,55 +286,25 @@ class NeighborAutomaton:
         code = digitset.code
         tables = tables_for_order(n)
         cells = digitset.cells()
-        cell_label = {c: i for i, c in enumerate(cells)}
-
-        # (v_idx, shift, mask of first labels) per offset, plus successor sets
-        raw: list[list[tuple[int, int, int]]] = []
-        succ = [0] * 26
-        for u_idx, entries in enumerate(tables.compat):
-            row = []
-            for v_idx, vmask, shift in entries:
-                m = code & vmask
-                if m:
-                    m &= (code >> shift) if shift >= 0 else (code << -shift)
-                    if m:
-                        row.append((v_idx, shift, m))
-                        succ[u_idx] |= 1 << v_idx
-            raw.append(row)
-        self._live_mask = _scc_live(succ)
+        self._tables = tables
+        self._live_mask = _scc_live(_successors(cells, tables))
+        self._live_edges = _live_edges(cells, self._live_mask, tables)
 
         edges: dict[Triple, tuple[tuple[Digit, Digit, Triple], ...]] = {}
-        walk: list[tuple[tuple[int, int, int], ...]] = []
-        elists: list[tuple[tuple[int, int], ...]] = []
-        for u_idx, row in enumerate(raw):
+        for u_idx, entries in enumerate(tables.compat):
             triples = []
-            walk_row = []
-            elist = []
-            for v_idx, shift, amask in row:
-                target = OFFSETS[v_idx]
-                target_live = self._live_mask >> v_idx & 1
-                m = amask
+            for v_idx, vmask, shift in entries:
+                m = code & vmask
+                m &= (code >> shift) if shift >= 0 else (code << -shift)
                 while m:
                     low = m & -m
                     a = low.bit_length() - 1
                     m ^= low
-                    b = a + shift  # d' = d + delta, valid by construction of vmask
-                    triples.append((tables.coords[a], tables.coords[b], target))
-                    if target_live:
-                        walk_row.append((a, b, v_idx))
-                        elist.append((v_idx, cell_label[a]))
+                    # d' = d + delta, valid by construction of vmask
+                    triples.append((tables.coords[a], tables.coords[a + shift], OFFSETS[v_idx]))
             triples.sort(key=lambda t: (cell_index(t[0], n), cell_index(t[1], n)))
-            walk_row.sort()
             edges[OFFSETS[u_idx]] = tuple(triples)
-            walk.append(tuple(walk_row))
-            elists.append(tuple(elist))
         self.edges = edges
-        self._walk = walk
-        self._edge_lists = elists
-        nlab = len(cells)
-        self._diffs = [tables.diff_enc(a, b) for a in cells for b in cells]
-        self._nlabels = nlab
-        self._tables = tables
 
     @property
     def live(self) -> frozenset[Triple]:
@@ -343,14 +312,6 @@ class NeighborAutomaton:
 
     def is_live(self, v: Triple) -> bool:
         return self._live_mask >> offset_index(v) & 1 == 1
-
-    def dump_edges(self) -> str:
-        """Plain-text edge list ``u -> v : (d,d')`` for inspection."""
-        lines = []
-        for u in OFFSETS:
-            for d, dp, v in self.edges[u]:
-                lines.append(f"{u} -> {v} : ({d},{dp})")
-        return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=4096)
@@ -367,7 +328,7 @@ def _extract_point(auto: NeighborAutomaton, start_idx: int) -> TriadicPoint:
     u = start_idx
     while u not in seen_at:
         seen_at[u] = len(labels)
-        a, _, v = auto._walk[u][0]
+        v, a = auto._live_edges[u][0]
         labels.append(auto._tables.coords[a])
         u = v
     t = seen_at[u]
@@ -381,8 +342,7 @@ def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     auto = build_automaton(digitset)
     if not auto._live_mask >> idx & 1:
         return FaceClass(FaceKind.EMPTY)
-    if _escape_reachable(auto._edge_lists, auto._diffs, auto._nlabels, idx,
-                         auto._tables.next2, auto._tables.d3):
+    if _escape_reachable(auto._live_edges, idx, auto._tables):
         return FaceClass(FaceKind.MULTI)
     return FaceClass(FaceKind.POINT, _extract_point(auto, idx))
 

@@ -39,11 +39,6 @@ class VoxelSet:
     depth: int
     cells: frozenset[Triple]
 
-    def coarsen(self) -> frozenset[Triple]:
-        """Cells at depth-1 resolution containing depth-level cells."""
-        n = self.digitset.n
-        return frozenset((x // n, y // n, z // n) for x, y, z in self.cells)
-
     def boundary_slab(self, axis: int, side: int) -> frozenset[Triple]:
         """Cells with the axis coordinate pinned to the grid boundary."""
         return _boundary_slabs(self)[axis, side]

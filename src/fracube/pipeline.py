@@ -24,9 +24,23 @@ from itertools import product
 from math import comb
 from typing import Iterator
 
-from .core import DigitSet, canonical_code, canonical_form, digit_from_cell, parse_digitset
-from .errors import DataIntegrityError, InternalInconsistency, LabelConflict, UnknownCode
-from .faces import _scc_live, negate_index, tables_for_order
+from .core import DigitSet, _check_order, canonical_code, canonical_form, digit_from_cell, parse_digitset
+from .errors import (
+    BudgetExceeded,
+    DataIntegrityError,
+    InternalInconsistency,
+    InvalidRequest,
+    LabelConflict,
+    UnknownCode,
+)
+from .faces import (
+    _escape_reachable,
+    _live_edges,
+    _scc_live,
+    _successors,
+    negate_index,
+    tables_for_order,
+)
 from .topology import (
     GraphCode,
     graph_code,
@@ -35,6 +49,10 @@ from .topology import (
     is_connected,
     is_dendrite,
 )
+
+# classify_all refuses larger scans up front.  The largest order-3 problem,
+# C(27, 13) = 20058300 candidates, fits; (5, 7) with about 8e10 does not.
+MAX_CANDIDATES = 10 ** 8
 
 TABLE_DATA_SHA256 = "285531e7b0e1a612b40b72ae86600c3fbd5640f7f8f2806154c2533bd83a6a94"
 
@@ -74,10 +92,15 @@ def enumerate_codes(n: int = 3, N: int = 7) -> Iterator[int]:
         code = _next_code(code)
 
 
+def _check_size(n: int, N: int) -> None:
+    _check_order(n)
+    if not 1 <= N <= n ** 3:
+        raise InvalidRequest(f"pieces must be in [1, {n ** 3}] for order {n}, got {N}")
+
+
 def enumerate_all(n: int = 3, N: int = 7) -> Iterator[DigitSet]:
     """Every N-piece digit set of order n, in increasing occupancy-code order."""
-    if N > n ** 3:
-        raise ValueError(f"cannot choose {N} cells out of {n ** 3}")
+    _check_size(n, N)
     table = [digit_from_cell(c, n) for c in range(n ** 3)]
     for code in enumerate_codes(n, N):
         digits = []
@@ -94,17 +117,13 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
 
     Works on raw occupancy codes for speed: potential adjacency first, then
     automaton liveness for exact connectivity, then the product search for
-    the one-point property.
+    the one-point property.  The last two are the kernel behind
+    :func:`fracube.faces.classify_face`.
     """
     n, N, start, count = args
     tables = tables_for_order(n)
     ncells = tables.ncells
     pair_off = tables.pair_off
-    compat = tables.compat
-    next2 = tables.next2
-    d3 = tables.d3
-    coords = tables.coords
-    dwidth = tables.dwidth
     scc_live = _scc_live
     full = (1 << N) - 1
     neg = [negate_index(i) for i in range(26)]
@@ -147,19 +166,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
             continue
 
         # exact connectivity: keep only offsets whose face is nonempty
-        succ = [0] * 26
-        masks: list[list[tuple[int, int]]] = []
-        for u_idx in range(26):
-            row = []
-            for v_idx, vmask, shift in compat[u_idx]:
-                m = this & vmask
-                if m:
-                    m &= (this >> shift) if shift >= 0 else (this << -shift)
-                    if m:
-                        row.append((v_idx, m))
-                        succ[u_idx] |= 1 << v_idx
-            masks.append(row)
-        live = scc_live(succ)
+        live = scc_live(_successors(cells, tables))
 
         adj = [0] * N
         live_offs = set()
@@ -180,56 +187,8 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
             continue
 
         # one-point property: no live realized offset may carry two points
-        label_of = {c: i for i, c in enumerate(cells)}
-        diffs = [0] * (N * N)
-        for i in range(N):
-            a = coords[cells[i]]
-            row = i * N
-            for j in range(N):
-                b = coords[cells[j]]
-                diffs[row + j] = (a[0] - b[0] + n - 1) + dwidth * ((a[1] - b[1] + n - 1) + dwidth * (a[2] - b[2] + n - 1))
-        edge_cache: dict[int, tuple] = {}
-
-        def edges_of(u: int) -> tuple:
-            got = edge_cache.get(u)
-            if got is None:
-                row = []
-                for v_idx, amask in masks[u]:
-                    if live >> v_idx & 1:
-                        m = amask
-                        while m:
-                            low = m & -m
-                            row.append((v_idx, label_of[low.bit_length() - 1]))
-                            m ^= low
-                got = tuple(row)
-                edge_cache[u] = got
-            return got
-
-        multi = False
-        for alpha in live_offs:
-            key0 = (alpha * 26 + alpha) * 27 + 13
-            seen = {key0}
-            todo = [(alpha, alpha, 13)]
-            while todo:
-                u1, u2, s = todo.pop()
-                sbase = s * d3
-                for v1, l1 in edges_of(u1):
-                    lrow = l1 * N
-                    for v2, l2 in edges_of(u2):
-                        ns = next2[sbase + diffs[lrow + l2]]
-                        if ns < 0:
-                            multi = True
-                            todo.clear()
-                            break
-                        key = (v1 * 26 + v2) * 27 + ns
-                        if key not in seen:
-                            seen.add(key)
-                            todo.append((v1, v2, ns))
-                    if multi:
-                        break
-            if multi:
-                break
-        if multi:
+        edges = _live_edges(cells, live, tables)
+        if any(_escape_reachable(edges, alpha, tables) for alpha in live_offs):
             continue
 
         canon = canonical_code(this, n)
@@ -306,9 +265,12 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     cubes: ``CUBE_GROUP`` orbits whose digit sets are translates of each
     other are merged.  Without it each class is one ``CUBE_GROUP`` orbit.
     """
-    total = comb(n ** 3, N)
+    _check_size(n, N)
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise InvalidRequest(f"workers must be >= 1, got {workers}")
+    total = comb(n ** 3, N)
+    if total > MAX_CANDIDATES:
+        raise BudgetExceeded(f"{total} candidates exceed the scan budget {MAX_CANDIDATES}")
     workers = min(workers, total)
     bounds = [total * w // workers for w in range(workers + 1)]
     chunks = [(n, N, bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)]

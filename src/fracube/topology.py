@@ -67,15 +67,6 @@ class PieceGraph:
     def is_tree(self) -> bool:
         return self.is_connected_graph() and len(self.edges) == self.n_vertices - 1
 
-    def to_dot(self) -> str:
-        lines = ["graph pieces {"]
-        for v in range(self.n_vertices):
-            lines.append(f'  K{v + 1};')
-        for i, j, alpha, _ in self.edges:
-            lines.append(f'  K{i + 1} -- K{j + 1} [label="{alpha}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def piece_adjacency(ds: DigitSet) -> PieceGraph:
     """Graph of piece pairs with nonempty intersection, fully annotated."""
@@ -170,17 +161,6 @@ class BipartiteGraph:
                     seen.add(w)
                     todo.append(w)
         return len(seen) == n_vertices
-
-    def to_dot(self) -> str:
-        lines = ["graph intersection {"]
-        for v in range(self.n_pieces):
-            lines.append(f'  K{v + 1} [shape=circle];')
-        for p in range(len(self.points)):
-            lines.append(f'  p{p + 1} [shape=point, xlabel="{self.points[p]}"];')
-        for piece, point in sorted(self.edges):
-            lines.append(f"  K{piece + 1} -- p{point + 1};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def bipartite_graph(ds: DigitSet) -> BipartiteGraph:

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fracube import cli
 
 
@@ -104,6 +106,20 @@ def test_outputs_end_with_newline(tmp_path):
                  ("export", "000", "--depth", "1")):
         out = run_cli(*args)
         assert out.stdout.endswith("\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--order", "2", "--pieces", "9"), "pieces must be in [1, 8]"),
+    (("--pieces", "0"), "pieces must be in [1, 27]"),
+    (("--order", "5", "--pieces", "300"), "pieces must be in [1, 125]"),
+    (("--workers", "0"), "workers must be >= 1"),
+    (("--order", "5", "--pieces", "7"), "exceed the scan budget"),
+])
+def test_enumerate_rejects_bad_input(args, message):
+    out = run_cli("enumerate", *args)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert message in out.stderr
 
 
 def test_enumerate_worker_count_does_not_change_bytes():

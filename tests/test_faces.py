@@ -8,13 +8,17 @@ from fracube.errors import NotSingleton, OutOfRange
 from fracube.faces import (
     OFFSETS,
     FaceKind,
+    NeighborAutomaton,
     TriadicPoint,
+    _successors,
     build_automaton,
     classify_face,
     face_point,
     offset_enc,
+    offset_index,
     tables_for_order,
 )
+from fracube.pipeline import enumerate_codes
 
 SEGMENT = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
 TABLE2_FIRST = "020_101_110_111_112_121_202"
@@ -77,6 +81,36 @@ def test_edges_enumerated_exhaustively():
                     if v in offset_set:
                         expected.add((d, dp, v))
             assert set(auto.edges[u]) == expected
+
+
+def _potentially_connected(ds):
+    # digits are joined when they differ by at most 1 in every coordinate
+    reached, todo = {ds.digits[0]}, [ds.digits[0]]
+    while todo:
+        d = todo.pop()
+        for e in ds.digits:
+            if e not in reached and all(abs(d[k] - e[k]) <= 1 for k in range(3)):
+                reached.add(e)
+                todo.append(e)
+    return len(reached) == len(ds)
+
+
+def test_pair_table_successors_match_edge_targets():
+    # successor masks from the digit-pair table against the targets of the
+    # labelled edges, which are built from the per-offset cell masks
+    rng = random.Random(67)
+    sets = [random_digitset(rng, n, rng.randrange(1, n ** 3 + 1))
+            for n in (2, 3, 4) for _ in range(40)]
+    passers = [ds for ds in map(DigitSet.from_code, enumerate_codes(3, 4))
+               if _potentially_connected(ds)]
+    assert passers
+    for ds in sets + passers:
+        auto = NeighborAutomaton(ds)
+        targets = [0] * 26
+        for u in OFFSETS:
+            for _, _, v in auto.edges[u]:
+                targets[offset_index(u)] |= 1 << offset_index(v)
+        assert _successors(ds.cells(), tables_for_order(ds.n)) == targets
 
 
 def test_segment_face_classification():
@@ -163,12 +197,6 @@ def test_equivariance_under_cube_group():
                 assert fci.kind is fc.kind
                 if fc.is_point:
                     assert fci.point.value == g.apply_point(fc.point.value)
-
-
-def test_dump_edges_format():
-    dump = build_automaton(DigitSet.from_digits(SEGMENT)).dump_edges()
-    assert "(0, 0, 1) -> (0, 0, 1) : ((0,0,2),(0,0,0))" in dump
-    assert dump.endswith("\n")
 
 
 def test_point_extraction_is_path_independent():

@@ -44,8 +44,8 @@ def test_voxel_refinement():
     rng = random.Random(19)
     for _ in range(5):
         ds = random_digitset(rng)
-        fine = voxelize(ds, 3)
-        assert fine.coarsen() <= voxelize(ds, 2).cells
+        coarse = {(x // 3, y // 3, z // 3) for x, y, z in voxelize(ds, 3).cells}
+        assert coarse <= voxelize(ds, 2).cells
 
 
 def test_voxel_budget():

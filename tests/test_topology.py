@@ -189,9 +189,3 @@ def test_graph_code_equivariance():
         img = apply_isometry(g, TABLE2_FIRST)
         assert graph_code(intersection_graph(img)) == graph_code(intersection_graph(TABLE2_FIRST))
 
-
-def test_dot_exports():
-    dot = intersection_graph(SEGMENT).to_dot()
-    assert "K1 -- K2" in dot and dot.startswith("graph")
-    bdot = bipartite_graph(SEGMENT).to_dot()
-    assert "p1" in bdot and "K3 -- p2;" in bdot
