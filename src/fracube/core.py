@@ -193,15 +193,19 @@ def _cell_permutations(n: int) -> list[list[int]]:
     return tables
 
 
-def transform_code(g_index: int, code: int, n: int) -> int:
-    """Apply CUBE_GROUP[g_index] to an occupancy code."""
-    table = _cell_permutations(n)[g_index]
+def _image(table: list[int], code: int) -> int:
+    """Occupancy code moved by one cell permutation."""
     out = 0
     while code:
         low = code & -code
         out |= 1 << table[low.bit_length() - 1]
         code ^= low
     return out
+
+
+def transform_code(g_index: int, code: int, n: int) -> int:
+    """Apply CUBE_GROUP[g_index] to an occupancy code."""
+    return _image(_cell_permutations(n)[g_index], code)
 
 
 @dataclass(frozen=True)
@@ -219,24 +223,12 @@ class CanonicalForm:
 
 def canonical_code(code: int, n: int) -> int:
     """Minimum occupancy code over the 48 images (hot-path helper)."""
-    tables = _cell_permutations(n)
-    best = code
-    for g_index in range(1, 48):
-        table = tables[g_index]
-        rest = code
-        img = 0
-        while rest:
-            low = rest & -rest
-            img |= 1 << table[low.bit_length() - 1]
-            rest ^= low
-        if img < best:
-            best = img
-    return best
+    return min(_image(table, code) for table in _cell_permutations(n))
 
 
 def canonical_form(ds: DigitSet) -> CanonicalForm:
     """Canonical representative, orbit size, stabilizer size and a witness."""
-    images = [transform_code(i, ds.code, ds.n) for i in range(len(CUBE_GROUP))]
+    images = [_image(table, ds.code) for table in _cell_permutations(ds.n)]
     best = min(images)
     orbit = len(set(images))
     stabilizer = sum(1 for img in images if img == ds.code)

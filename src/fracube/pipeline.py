@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -112,6 +113,19 @@ def enumerate_all(n: int = 3, N: int = 7) -> Iterator[DigitSet]:
         yield DigitSet(n=n, digits=tuple(digits), code=code)
 
 
+def _component(adj: list[int]) -> int:
+    """Bitmask of the vertices reachable from vertex 0 (adjacency bitmasks)."""
+    comp = frontier = 1
+    while frontier:
+        nxt = 0
+        for b in range(len(adj)):
+            if frontier >> b & 1:
+                nxt |= adj[b]
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     """Filter candidates in a rank range; return canonical survivor counts.
 
@@ -154,15 +168,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
                     pairs.append((i, j, off))
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-        comp = frontier = 1
-        while frontier:
-            nxt = 0
-            for b in range(N):
-                if frontier >> b & 1:
-                    nxt |= adj[b]
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp != full:
+        if _component(adj) != full:
             continue
 
         # exact connectivity: keep only offsets whose face is nonempty
@@ -175,15 +181,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
                 live_offs.add(off if off <= neg[off] else neg[off])
-        comp = frontier = 1
-        while frontier:
-            nxt = 0
-            for b in range(N):
-                if frontier >> b & 1:
-                    nxt |= adj[b]
-            frontier = nxt & ~comp
-            comp |= frontier
-        if comp != full:
+        if _component(adj) != full:
             continue
 
         # one-point property: no live realized offset may carry two points
@@ -271,7 +269,7 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     total = comb(n ** 3, N)
     if total > MAX_CANDIDATES:
         raise BudgetExceeded(f"{total} candidates exceed the scan budget {MAX_CANDIDATES}")
-    workers = min(workers, total)
+    workers = min(workers, total, os.cpu_count() or 1)
     bounds = [total * w // workers for w in range(workers + 1)]
     chunks = [(n, N, bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)]
     if workers == 1:

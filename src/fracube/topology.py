@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import DigitSet
 from .errors import Disconnected, InternalInconsistency, OnePointViolation, TooLarge
-from .faces import FaceClass, TriadicPoint, build_automaton, classify_face, face_point
+from .faces import FaceClass, TriadicPoint, classify_face, face_point
 
 Triple = tuple[int, int, int]
 
@@ -33,6 +33,22 @@ def _realized_offsets(ds: DigitSet) -> dict[Triple, list[tuple[int, int]]]:
     return out
 
 
+def _bfs_connected(n_vertices: int, pairs) -> bool:
+    """Whether the graph on vertices 0..n_vertices-1 with these edges is connected."""
+    adj: list[list[int]] = [[] for _ in range(n_vertices)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    todo = [0]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == n_vertices
+
+
 @dataclass(frozen=True)
 class PieceGraph:
     """Simple graph on the pieces; edges carry the offset and face class."""
@@ -44,32 +60,19 @@ class PieceGraph:
     def edge_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _, _ in self.edges]
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for i, j, _, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
     def is_connected_graph(self) -> bool:
-        if self.n_vertices <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        todo = [0]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == self.n_vertices
+        return _bfs_connected(self.n_vertices, self.edge_pairs())
 
     def is_tree(self) -> bool:
         return self.is_connected_graph() and len(self.edges) == self.n_vertices - 1
 
 
 def piece_adjacency(ds: DigitSet) -> PieceGraph:
-    """Graph of piece pairs with nonempty intersection, fully annotated."""
+    """Graph of piece pairs with nonempty intersection, fully annotated.
+
+    Every piece-level question below (connectivity, one-point property,
+    both intersection graphs) is read off this one graph.
+    """
     edges = []
     for alpha, pairs in sorted(_realized_offsets(ds).items()):
         fc = classify_face(ds, alpha)
@@ -82,52 +85,21 @@ def piece_adjacency(ds: DigitSet) -> PieceGraph:
 
 
 def is_connected(ds: DigitSet) -> bool:
-    """Hata criterion: the attractor is connected iff the piece graph is.
-
-    Only face nonemptiness (automaton liveness) is needed here, not the
-    singleton/multi decision.
-    """
-    auto = build_automaton(ds)
-    n_pieces = len(ds)
-    if n_pieces == 1:
-        return True
-    parent = list(range(n_pieces))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for alpha, pairs in _realized_offsets(ds).items():
-        if not auto.is_live(alpha):
-            continue
-        for i, j in pairs:
-            parent[find(i)] = find(j)
-    return len({find(v) for v in range(n_pieces)}) == 1
+    """Hata criterion: the attractor is connected iff the piece graph is."""
+    return piece_adjacency(ds).is_connected_graph()
 
 
 def has_one_point_property(ds: DigitSet) -> bool:
-    """No realized offset may have a face with more than one point."""
-    checked: set[Triple] = set()
-    for alpha in _realized_offsets(ds):
-        neg = (-alpha[0], -alpha[1], -alpha[2])
-        if neg in checked:
-            continue  # F(-a) = F(a) - a, so the class agrees
-        checked.add(alpha)
-        if classify_face(ds, alpha).is_multi:
-            return False
-    return True
+    """No two pieces may meet in more than one point."""
+    return not any(fc.is_multi for _, _, _, fc in piece_adjacency(ds).edges)
 
 
 def intersection_graph(ds: DigitSet) -> PieceGraph:
-    """Piece graph restricted to singleton faces (the one-point graph)."""
-    if not has_one_point_property(ds):
-        raise OnePointViolation(f"{ds} has a multi-point piece intersection")
+    """The piece graph of a digit set with the one-point property."""
     g = piece_adjacency(ds)
-    edges = tuple(e for e in g.edges if e[3].is_point)
-    assert len(edges) == len(g.edges)  # realized faces are empty or singleton here
-    return PieceGraph(digitset=ds, n_vertices=g.n_vertices, edges=edges)
+    if any(fc.is_multi for _, _, _, fc in g.edges):
+        raise OnePointViolation(f"{ds} has a multi-point piece intersection")
+    return g
 
 
 @dataclass(frozen=True)
@@ -147,54 +119,43 @@ class BipartiteGraph:
 
     def is_tree(self) -> bool:
         n_vertices = self.n_pieces + len(self.points)
-        if len(self.edges) != n_vertices - 1:
-            return False
-        adj: list[list[int]] = [[] for _ in range(n_vertices)]
-        for piece, point in self.edges:
-            adj[piece].append(self.n_pieces + point)
-            adj[self.n_pieces + point].append(piece)
-        seen = {0}
-        todo = [0]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == n_vertices
+        return len(self.edges) == n_vertices - 1 and _bfs_connected(
+            n_vertices, ((piece, self.n_pieces + point) for piece, point in self.edges))
 
 
-def bipartite_graph(ds: DigitSet) -> BipartiteGraph:
-    """Exact piece-point incidence graph, points deduplicated exactly."""
-    if not has_one_point_property(ds):
-        raise OnePointViolation(f"{ds} has a multi-point piece intersection")
+def _bipartite(graph: PieceGraph) -> BipartiteGraph:
+    """Piece-point incidence graph of a one-point intersection graph."""
+    ds = graph.digitset
     n = ds.n
     dig = ds.digits
     point_ids: dict[tuple[Fraction, Fraction, Fraction], int] = {}
     points: list[TriadicPoint] = []
     edges: set[tuple[int, int]] = set()
-    for alpha, pairs in sorted(_realized_offsets(ds).items()):
-        if classify_face(ds, alpha).is_empty:
-            continue
-        for i, j in pairs:
-            # K_i cap K_j = (F(d_j - d_i) + d_i)/n
-            fp = face_point(ds, (dig[j][0] - dig[i][0], dig[j][1] - dig[i][1], dig[j][2] - dig[i][2]))
-            value = tuple((fp.value[k] + dig[i][k]) / n for k in range(3))
-            pid = point_ids.get(value)
-            if pid is None:
-                pid = len(points)
-                point_ids[value] = pid
-                points.append(TriadicPoint(n=n, preperiod=(dig[i],) + fp.preperiod,
-                                           period=fp.period, value=value))
-            edges.add((i, pid))
-            edges.add((j, pid))
+    for i, j, alpha, _ in sorted(graph.edges, key=lambda e: e[2]):
+        # K_i cap K_j = (F(d_j - d_i) + d_i)/n
+        fp = face_point(ds, (-alpha[0], -alpha[1], -alpha[2]))
+        value = tuple((fp.value[k] + dig[i][k]) / n for k in range(3))
+        pid = point_ids.get(value)
+        if pid is None:
+            pid = len(points)
+            point_ids[value] = pid
+            points.append(TriadicPoint(n=n, preperiod=(dig[i],) + fp.preperiod,
+                                       period=fp.period, value=value))
+        edges.add((i, pid))
+        edges.add((j, pid))
     order = sorted(range(len(points)), key=lambda p: points[p].value)
     renumber = {old: new for new, old in enumerate(order)}
     return BipartiteGraph(
         digitset=ds,
-        n_pieces=len(ds),
+        n_pieces=graph.n_vertices,
         points=tuple(points[p] for p in order),
         edges=frozenset((i, renumber[p]) for i, p in edges),
     )
+
+
+def bipartite_graph(ds: DigitSet) -> BipartiteGraph:
+    """Exact piece-point incidence graph, points deduplicated exactly."""
+    return _bipartite(intersection_graph(ds))
 
 
 def verify_no_triple_points(ds: DigitSet) -> bool:
@@ -209,14 +170,13 @@ def is_dendrite(ds: DigitSet) -> bool:
     (intersection graph connected with N-1 edges); both are computed and
     any disagreement aborts rather than returning a silent guess.
     """
-    if not has_one_point_property(ds):
-        raise OnePointViolation(f"{ds} has a multi-point piece intersection")
-    if not is_connected(ds):
+    graph = intersection_graph(ds)
+    if not graph.is_connected_graph():
         raise Disconnected(f"{ds} is not connected")
-    bg = bipartite_graph(ds)
+    bg = _bipartite(graph)
     verdict = bg.is_tree()
     if all(d == 2 for d in bg.point_degrees()):
-        simple = intersection_graph(ds).is_tree()
+        simple = graph.is_tree()
         if simple != verdict:
             raise InternalInconsistency(
                 f"bipartite tree test ({verdict}) and simple tree test ({simple}) disagree for {ds}"

@@ -75,6 +75,32 @@ def test_worker_determinism_small():
         assert render_markdown(solo) == render_markdown(duo)
 
 
+def test_worker_count_clamped_to_cores(monkeypatch):
+    import multiprocessing
+    import os
+
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    report = classify_all(3, 3, workers=5000)
+    assert requested == [2]
+    assert render_json(report) == render_json(classify_all(3, 3, workers=1))
+
+
 def test_report_invariants_small():
     report = classify_all(2, 4)
     assert sum(r.orbit_size for r in report.classes) == report.survivors

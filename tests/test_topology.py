@@ -7,6 +7,7 @@ import pytest
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
 from fracube.errors import Disconnected, OnePointViolation, TooLarge
 from fracube.faces import face_point
+from fracube.oracle import FaceCardinality, oracle_face_cardinality
 from fracube.topology import (
     bipartite_graph,
     graph_code,
@@ -189,3 +190,70 @@ def test_graph_code_equivariance():
         img = apply_isometry(g, TABLE2_FIRST)
         assert graph_code(intersection_graph(img)) == graph_code(intersection_graph(TABLE2_FIRST))
 
+
+
+def _grown_digitset(rng, n, size):
+    """Random digit set grown one neighbouring cell at a time."""
+    cells = {tuple(rng.randrange(n) for _ in range(3))}
+    while len(cells) < size:
+        c = rng.choice(sorted(cells))
+        cells.add(tuple(min(n - 1, max(0, c[k] + rng.choice((-1, 0, 1)))) for k in range(3)))
+    return DigitSet.from_digits(cells, n=n)
+
+
+def _lines_digitset(rng, n, lines):
+    """Union of random axis-parallel lines of n cells."""
+    cells = set()
+    for _ in range(lines):
+        axis, base = rng.randrange(3), [rng.randrange(n) for _ in range(3)]
+        cells.update(tuple(t if k == axis else base[k] for k in range(3)) for t in range(n))
+    return DigitSet.from_digits(cells, n=n)
+
+
+def test_public_filters_match_oracle_piece_graph():
+    # the piece graph rebuilt from the independent oracle, pair by pair
+    rng = random.Random(404)
+    seen = set()
+    for n, sizes in ((2, range(2, 7)), (3, range(6, 14)), (4, range(14, 31))):
+        for k in range(20):
+            size = rng.choice(sizes)
+            if k % 3 == 0:
+                ds = DigitSet.from_code(sum(1 << c for c in rng.sample(range(n ** 3), size)), n=n)
+            elif k % 3 == 1:
+                ds = _grown_digitset(rng, n, size)
+            else:
+                ds = _lines_digitset(rng, n, rng.randrange(1, 4))
+            dig = ds.digits
+            edges, multi, cards = [], False, {}
+            for i, j in itertools.combinations(range(len(dig)), 2):
+                alpha = tuple(dig[i][c] - dig[j][c] for c in range(3))
+                if not any(alpha) or any(abs(c) > 1 for c in alpha):
+                    continue
+                if alpha not in cards:
+                    cards[alpha] = oracle_face_cardinality(ds, alpha)
+                card = cards[alpha]
+                if card is not FaceCardinality.EMPTY:
+                    edges.append((i, j))
+                    multi |= card is FaceCardinality.AT_LEAST_TWO
+            reached, todo = {0}, [0]
+            while todo:
+                v = todo.pop()
+                for a, b in edges:
+                    w = b if a == v else a if b == v else None
+                    if w is not None and w not in reached:
+                        reached.add(w)
+                        todo.append(w)
+            connected = len(reached) == len(dig)
+            assert is_connected(ds) == connected, ds
+            assert has_one_point_property(ds) == (not multi), ds
+            if multi:
+                with pytest.raises(OnePointViolation):
+                    intersection_graph(ds)
+            else:
+                assert intersection_graph(ds).edge_pairs() == edges, ds
+            seen.add((n, connected, not multi))
+    # every order has both one-point verdicts and a connected one-point set
+    for n in (2, 3, 4):
+        assert {one_point for m, _, one_point in seen if m == n} == {True, False}
+        assert (n, True, True) in seen
+    assert {connected for _, connected, _ in seen} == {True, False}
