@@ -21,7 +21,6 @@ from .faces import (
     OFFSETS,
     FaceClass,
     FaceKind,
-    NeighborAutomaton,
     TriadicPoint,
     build_automaton,
     classify_face,
@@ -70,7 +69,6 @@ __all__ = [
     "OFFSETS",
     "FaceClass",
     "FaceKind",
-    "NeighborAutomaton",
     "TriadicPoint",
     "build_automaton",
     "classify_face",

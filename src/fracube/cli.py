@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FracubeError as exc:
+    except (FracubeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

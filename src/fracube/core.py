@@ -126,7 +126,7 @@ def parse_digitset(text: str, n: int = 3) -> DigitSet:
         return DigitSet.from_digits([tuple(map(int, t)) for t in triples], n=n)
     digits = []
     for token in s.split("_"):
-        if len(token) != 3 or not token.isdigit():
+        if len(token) != 3 or not token.isdecimal():
             raise ParseError(f"malformed digit token {token!r}")
         digits.append(tuple(int(ch) for ch in token))
     return DigitSet.from_digits(digits, n=n)

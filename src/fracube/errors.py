@@ -50,7 +50,7 @@ class BudgetExceeded(FracubeError):
 
 
 class InvalidRequest(FracubeError, ValueError):
-    """Enumeration parameters are out of range."""
+    """Request parameters are out of range: enumeration sizes, workers, voxel depth."""
 
 
 class DepthTooSmall(FracubeError):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .core import Digit, DigitSet, cell_index, digit_from_cell
+from .core import Digit, DigitSet, digit_from_cell
 from .errors import NotSingleton, OutOfRange
 
 Triple = tuple[int, int, int]
@@ -53,11 +53,9 @@ def negate_index(idx: int) -> int:
 class _Tables:
     """Static per-order tables shared by the automaton and the pipeline.
 
-    compat[u_idx] lists the offsets w reachable from u in one step together
-    with the cell mask and index shift realizing delta = w - n*u: the digit
-    pairs (d, d+delta) are exactly the labels of the edge u -> w.
-    pair_edges[a * ncells + b] lists the same edges by label: one
-    (u_idx, 1 << w_idx) per edge u -> w labelled (digit(a), digit(b)).  For
+    pair_edges[a * ncells + b] lists the labelled edges by label: one
+    (u_idx, 1 << w_idx) per edge u -> w labelled (digit(a), digit(b)), that
+    is, per offset u with w = n*u + digit(b) - digit(a) an offset.  For
     n >= 3 a difference of two digits realizes at most one edge.
     """
 
@@ -69,30 +67,17 @@ class _Tables:
         d = 2 * n - 1
         self.d3 = d ** 3
 
-        compat = []
         pair_edges: list[list[tuple[int, int]]] = [[] for _ in range(ncells * ncells)]
         for u_idx, u in enumerate(OFFSETS):
-            row = []
             axes = [(u[k],) if u[k] else (-1, 0, 1) for k in range(3)]
             for w in product(*axes):
-                assert w != (0, 0, 0)  # unreachable from a nonzero offset
+                # the labels of u -> w are the pairs (d, d + delta) inside the grid
                 delta = tuple(w[k] - n * u[k] for k in range(3))
-                vmask = 0
-                for c, xyz in enumerate(self.coords):
-                    if all(0 <= xyz[k] + delta[k] < n for k in range(3)):
-                        vmask |= 1 << c
                 shift = delta[0] + n * delta[1] + n * n * delta[2]
-                v_idx = _IDX_OF_ENC[offset_enc(w)]
-                row.append((v_idx, vmask, shift))
-                edge = (u_idx, 1 << v_idx)
-                m = vmask
-                while m:
-                    low = m & -m
-                    a = low.bit_length() - 1
-                    pair_edges[a * ncells + a + shift].append(edge)
-                    m ^= low
-            compat.append(tuple(row))
-        self.compat = tuple(compat)
+                edge = (u_idx, 1 << _IDX_OF_ENC[offset_enc(w)])
+                for a, xyz in enumerate(self.coords):
+                    if all(0 <= xyz[k] + delta[k] < n for k in range(3)):
+                        pair_edges[a * ncells + a + shift].append(edge)
         self.pair_edges = tuple(tuple(e) for e in pair_edges)
 
         # next2[s_enc * d3 + diff_enc] -> next difference state, -1 = escaped
@@ -270,81 +255,39 @@ class FaceClass:
         return self.kind is FaceKind.MULTI
 
 
-class NeighborAutomaton:
-    """Labeled offset graph of a digit set, with liveness flags.
-
-    ``edges[u]`` holds (d, d', target) triples sorted by label; ``live``
-    is the set of offsets that start an infinite path, i.e. have a
-    nonempty face.  Liveness and the face decisions use the same kernel as
-    the enumeration scan; ``edges`` is built separately from the
-    per-offset cell masks.
-    """
-
-    def __init__(self, digitset: DigitSet):
-        self.digitset = digitset
-        n = digitset.n
-        code = digitset.code
-        tables = tables_for_order(n)
-        cells = digitset.cells()
-        self._tables = tables
-        self._live_mask = _scc_live(_successors(cells, tables))
-        self._live_edges = _live_edges(cells, self._live_mask, tables)
-
-        edges: dict[Triple, tuple[tuple[Digit, Digit, Triple], ...]] = {}
-        for u_idx, entries in enumerate(tables.compat):
-            triples = []
-            for v_idx, vmask, shift in entries:
-                m = code & vmask
-                m &= (code >> shift) if shift >= 0 else (code << -shift)
-                while m:
-                    low = m & -m
-                    a = low.bit_length() - 1
-                    m ^= low
-                    # d' = d + delta, valid by construction of vmask
-                    triples.append((tables.coords[a], tables.coords[a + shift], OFFSETS[v_idx]))
-            triples.sort(key=lambda t: (cell_index(t[0], n), cell_index(t[1], n)))
-            edges[OFFSETS[u_idx]] = tuple(triples)
-        self.edges = edges
-
-    @property
-    def live(self) -> frozenset[Triple]:
-        return frozenset(OFFSETS[i] for i in range(26) if self._live_mask >> i & 1)
-
-    def is_live(self, v: Triple) -> bool:
-        return self._live_mask >> offset_index(v) & 1 == 1
-
-
 @lru_cache(maxsize=4096)
-def build_automaton(digitset: DigitSet) -> NeighborAutomaton:
-    """Construct (and cache) the neighbor automaton of a digit set."""
-    return NeighborAutomaton(digitset)
+def build_automaton(digitset: DigitSet) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The live offsets of a digit set and its edges into them, cached.
 
-
-def _extract_point(auto: NeighborAutomaton, start_idx: int) -> TriadicPoint:
-    """Walk lexicographically smallest live edges until an offset repeats."""
-    n = auto.digitset.n
-    seen_at: dict[int, int] = {}
-    labels: list[Digit] = []
-    u = start_idx
-    while u not in seen_at:
-        seen_at[u] = len(labels)
-        v, a = auto._live_edges[u][0]
-        labels.append(auto._tables.coords[a])
-        u = v
-    t = seen_at[u]
-    return TriadicPoint.from_digits(n, labels[:t], labels[t:])
+    Returns ``(live, edges)``: the bitmask of offsets that start an infinite
+    path (have a nonempty face) and :func:`_live_edges` of that mask.
+    """
+    tables = tables_for_order(digitset.n)
+    cells = digitset.cells()
+    live = _scc_live(_successors(cells, tables))
+    return live, _live_edges(cells, live, tables)
 
 
 @lru_cache(maxsize=65536)
 def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     """Exact three-way classification of F(alpha): empty, singleton or bigger."""
     idx = offset_index(alpha)
-    auto = build_automaton(digitset)
-    if not auto._live_mask >> idx & 1:
+    live, edges = build_automaton(digitset)
+    if not live >> idx & 1:
         return FaceClass(FaceKind.EMPTY)
-    if _escape_reachable(auto._live_edges, idx, auto._tables):
+    tables = tables_for_order(digitset.n)
+    if _escape_reachable(edges, idx, tables):
         return FaceClass(FaceKind.MULTI)
-    return FaceClass(FaceKind.POINT, _extract_point(auto, idx))
+    # the point: follow the smallest live label until an offset repeats
+    seen_at: dict[int, int] = {}
+    labels: list[Digit] = []
+    u = idx
+    while u not in seen_at:
+        seen_at[u] = len(labels)
+        u, a = edges[u][0]
+        labels.append(tables.coords[a])
+    t = seen_at[u]
+    return FaceClass(FaceKind.POINT, TriadicPoint.from_digits(digitset.n, labels[:t], labels[t:]))
 
 
 def face_point(digitset: DigitSet, alpha: Triple) -> TriadicPoint:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import DigitSet
-from .errors import BudgetExceeded, DepthTooSmall
+from .errors import BudgetExceeded, DepthTooSmall, InvalidRequest
 from .faces import OFFSETS, offset_enc
 from . import faces
 
@@ -61,7 +61,7 @@ def _boundary_slabs(vox: VoxelSet) -> dict[tuple[int, int], frozenset[Triple]]:
 def voxelize(ds: DigitSet, depth: int, budget: int = DEFAULT_CELL_BUDGET) -> VoxelSet:
     """Union of all depth-digit subdivision cells of the digit set."""
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidRequest("depth must be >= 1")
     if len(ds) ** depth > budget:
         raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {budget}")
     cells: Iterable[Triple] = [(0, 0, 0)]

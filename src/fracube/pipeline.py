@@ -32,6 +32,7 @@ from .errors import (
     InternalInconsistency,
     InvalidRequest,
     LabelConflict,
+    ParseError,
     UnknownCode,
 )
 from .faces import (
@@ -426,7 +427,7 @@ def verify_against_tables(report: ClassificationReport,
         name = f"{label} {text}"
         try:
             ds = parse_digitset(text, n=report.order)
-        except Exception as exc:
+        except ParseError as exc:
             mismatches.append(f"{name}: parse failed ({exc})")
             continue
         if not is_connected(ds):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import DigitSet
 from .errors import Disconnected, InternalInconsistency, OnePointViolation, TooLarge
@@ -126,23 +125,17 @@ class BipartiteGraph:
 def _bipartite(graph: PieceGraph) -> BipartiteGraph:
     """Piece-point incidence graph of a one-point intersection graph."""
     ds = graph.digitset
-    n = ds.n
     dig = ds.digits
-    point_ids: dict[tuple[Fraction, Fraction, Fraction], int] = {}
-    points: list[TriadicPoint] = []
+    point_ids: dict[TriadicPoint, int] = {}  # points compare by value
     edges: set[tuple[int, int]] = set()
     for i, j, alpha, _ in sorted(graph.edges, key=lambda e: e[2]):
         # K_i cap K_j = (F(d_j - d_i) + d_i)/n
         fp = face_point(ds, (-alpha[0], -alpha[1], -alpha[2]))
-        value = tuple((fp.value[k] + dig[i][k]) / n for k in range(3))
-        pid = point_ids.get(value)
-        if pid is None:
-            pid = len(points)
-            point_ids[value] = pid
-            points.append(TriadicPoint(n=n, preperiod=(dig[i],) + fp.preperiod,
-                                       period=fp.period, value=value))
+        point = TriadicPoint.from_digits(ds.n, (dig[i],) + fp.preperiod, fp.period)
+        pid = point_ids.setdefault(point, len(point_ids))
         edges.add((i, pid))
         edges.add((j, pid))
+    points = list(point_ids)
     order = sorted(range(len(points)), key=lambda p: points[p].value)
     renumber = {old: new for new, old in enumerate(order)}
     return BipartiteGraph(

@@ -109,14 +109,16 @@ def test_outputs_end_with_newline(tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (("--order", "2", "--pieces", "9"), "pieces must be in [1, 8]"),
-    (("--pieces", "0"), "pieces must be in [1, 27]"),
-    (("--order", "5", "--pieces", "300"), "pieces must be in [1, 125]"),
-    (("--workers", "0"), "workers must be >= 1"),
-    (("--order", "5", "--pieces", "7"), "exceed the scan budget"),
+    (("enumerate", "--order", "2", "--pieces", "9"), "pieces must be in [1, 8]"),
+    (("enumerate", "--pieces", "0"), "pieces must be in [1, 27]"),
+    (("enumerate", "--order", "5", "--pieces", "300"), "pieces must be in [1, 125]"),
+    (("enumerate", "--workers", "0"), "workers must be >= 1"),
+    (("enumerate", "--order", "5", "--pieces", "7"), "exceed the scan budget"),
+    (("export", "000", "--depth", "0"), "error: depth must be >= 1"),
+    (("inspect", "000", "--out", "/nonexistent/x.json"), "error: [Errno 2] No such file"),
 ])
 def test_enumerate_rejects_bad_input(args, message):
-    out = run_cli("enumerate", *args)
+    out = run_cli(*args)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert message in out.stderr

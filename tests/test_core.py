@@ -64,6 +64,8 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_digitset("00_111")
     with pytest.raises(ParseError):
+        parse_digitset("\u00b200_111")  # superscript two: isdigit() but not int()
+    with pytest.raises(ParseError):
         parse_digitset("{(0,0,0), nonsense}")
     with pytest.raises(ParseError):
         parse_digitset("")

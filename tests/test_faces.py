@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from fracube.core import CUBE_GROUP, Digit, DigitSet, apply_isometry, parse_digitset
+from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, cell_index, parse_digitset
 from fracube.errors import NotSingleton, OutOfRange
 from fracube.faces import (
     OFFSETS,
     FaceKind,
-    NeighborAutomaton,
     TriadicPoint,
     _successors,
     build_automaton,
@@ -18,6 +17,7 @@ from fracube.faces import (
     offset_index,
     tables_for_order,
 )
+from fracube.oracle import _label_edges
 from fracube.pipeline import enumerate_codes
 
 SEGMENT = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
@@ -38,49 +38,46 @@ def test_offset_encoding():
 
 
 def test_edge_targets_never_zero():
-    # arithmetic unreachability of the zero offset, checked on the static tables
+    # arithmetic unreachability of the zero offset, checked on the static tables:
+    # every pair-table edge u -> w has w = n*u + digit(b) - digit(a) nonzero
     for n in (2, 3, 4, 5):
         tables = tables_for_order(n)
-        for u_idx, entries in enumerate(tables.compat):
-            for v_idx, _, _ in entries:
-                assert OFFSETS[v_idx] != (0, 0, 0)
+        for pair, entries in enumerate(tables.pair_edges):
+            a, b = divmod(pair, tables.ncells)
+            for u_idx, bit in entries:
+                assert bit & (bit - 1) == 0 and bit < 1 << 26
+                w = tuple(n * OFFSETS[u_idx][k] + tables.coords[b][k] - tables.coords[a][k]
+                          for k in range(3))
+                assert w == OFFSETS[bit.bit_length() - 1] != (0, 0, 0)
 
 
 def test_segment_automaton_self_loop():
-    auto = build_automaton(DigitSet.from_digits(SEGMENT))
-    assert (Digit(0, 0, 2), Digit(0, 0, 0), (0, 0, 1)) in auto.edges[(0, 0, 1)]
-    assert auto.is_live((0, 0, 1))
+    ds = DigitSet.from_digits(SEGMENT)
+    tables = tables_for_order(3)
+    up = offset_index((0, 0, 1))
+    top, bottom = cell_index((0, 0, 2), 3), cell_index((0, 0, 0), 3)
+    assert (up, 1 << up) in tables.pair_edges[top * tables.ncells + bottom]
+    live, edges = build_automaton(ds)
+    assert live >> up & 1
+    assert (up, top) in edges[up]
 
 
 def test_full_cube_all_live():
-    auto = build_automaton(DigitSet.from_code((1 << 27) - 1))
-    assert len(auto.live) == 26
+    live, _ = build_automaton(DigitSet.from_code((1 << 27) - 1))
+    assert live == (1 << 26) - 1
 
 
 def test_two_corner_automaton():
     # only delta = (-2,-2,-2) keeps 3*(1,1,1) + delta inside the offset set
-    auto = build_automaton(DigitSet.from_digits([(0, 0, 0), (2, 2, 2)]))
-    assert auto.edges[(1, 1, 1)] == ((Digit(2, 2, 2), Digit(0, 0, 0), (1, 1, 1)),)
-    assert auto.is_live((1, 1, 1))
-    fc = classify_face(DigitSet.from_digits([(0, 0, 0), (2, 2, 2)]), (1, 1, 1))
+    ds = DigitSet.from_digits([(0, 0, 0), (2, 2, 2)])
+    diag = offset_index((1, 1, 1))
+    succ = _successors(ds.cells(), tables_for_order(3))
+    assert succ[diag] == 1 << diag
+    live, edges = build_automaton(ds)
+    assert live >> diag & 1
+    assert edges[diag] == [(diag, cell_index((2, 2, 2), 3))]
+    fc = classify_face(ds, (1, 1, 1))
     assert fc.is_point and fc.point.value == (1, 1, 1)
-
-
-def test_edges_enumerated_exhaustively():
-    # independent reconstruction of the edge relation from its definition
-    rng = random.Random(41)
-    offset_set = set(OFFSETS)
-    for _ in range(10):
-        ds = random_digitset(rng)
-        auto = build_automaton(ds)
-        for u in OFFSETS:
-            expected = set()
-            for d in ds.digits:
-                for dp in ds.digits:
-                    v = tuple(3 * u[k] + dp[k] - d[k] for k in range(3))
-                    if v in offset_set:
-                        expected.add((d, dp, v))
-            assert set(auto.edges[u]) == expected
 
 
 def _potentially_connected(ds):
@@ -95,22 +92,37 @@ def _potentially_connected(ds):
     return len(reached) == len(ds)
 
 
-def test_pair_table_successors_match_edge_targets():
-    # successor masks from the digit-pair table against the targets of the
-    # labelled edges, which are built from the per-offset cell masks
+def test_edges_enumerated_exhaustively():
+    # the kernel's successor masks, live offsets and live edges against the
+    # edge relation rebuilt from its definition, w = n*u + d' - d
     rng = random.Random(67)
     sets = [random_digitset(rng, n, rng.randrange(1, n ** 3 + 1))
             for n in (2, 3, 4) for _ in range(40)]
     passers = [ds for ds in map(DigitSet.from_code, enumerate_codes(3, 4))
                if _potentially_connected(ds)]
     assert passers
+    offset_set = set(OFFSETS)
     for ds in sets + passers:
-        auto = NeighborAutomaton(ds)
-        targets = [0] * 26
+        n = ds.n
+        labels = sorted((cell_index(d, n), cell_index(dp, n), d, dp)
+                        for d in ds.digits for dp in ds.digits)
+        relation = {u: [] for u in OFFSETS}  # u -> [(w, d)] in label order
+        for _, _, d, dp in labels:
+            for u in OFFSETS:
+                w = tuple(n * u[k] + dp[k] - d[k] for k in range(3))
+                if w in offset_set:
+                    relation[u].append((w, d))
+        assert _successors(ds.cells(), tables_for_order(n)) == [
+            sum({1 << offset_index(w) for w, _ in relation[u]}) for u in OFFSETS]
+        # live: the offsets left after pruning those with no live successor
+        alive = {u for u in OFFSETS if relation[u]}
+        while pruned := {u for u in alive if not any(w in alive for w, _ in relation[u])}:
+            alive -= pruned
+        live, edges = build_automaton(ds)
+        assert live == sum(1 << offset_index(u) for u in alive)
         for u in OFFSETS:
-            for _, _, v in auto.edges[u]:
-                targets[offset_index(u)] |= 1 << offset_index(v)
-        assert _successors(ds.cells(), tables_for_order(ds.n)) == targets
+            assert edges[offset_index(u)] == [
+                (offset_index(w), cell_index(d, n)) for w, d in relation[u] if w in alive]
 
 
 def test_segment_face_classification():
@@ -200,13 +212,15 @@ def test_equivariance_under_cube_group():
 
 
 def test_point_extraction_is_path_independent():
-    # re-extract singleton points following the LARGEST live edge instead
+    # re-extract singleton points following the LARGEST live label instead,
+    # on the oracle's edge relation
     rng = random.Random(47)
     sets = [parse_digitset(TABLE2_FIRST), DigitSet.from_digits(SEGMENT)]
     sets += [random_digitset(rng) for _ in range(10)]
     for ds in sets:
-        auto = build_automaton(ds)
-        live = {v for v in OFFSETS if auto.is_live(v)}
+        live_mask, _ = build_automaton(ds)
+        live = {v for v in OFFSETS if live_mask >> offset_index(v) & 1}
+        label_edges = _label_edges(ds)
         for alpha in OFFSETS:
             fc = classify_face(ds, alpha)
             if not fc.is_point:
@@ -216,12 +230,8 @@ def test_point_extraction_is_path_independent():
             u = alpha
             while u not in seen:
                 seen[u] = len(labels)
-                d, _, v = max(
-                    (e for e in auto.edges[u] if e[2] in live),
-                    key=lambda e: (tuple(e[0]), tuple(e[1])),
-                )
+                d, u = max(e for e in label_edges[u] if e[1] in live)
                 labels.append(d)
-                u = v
             t = seen[u]
             other = TriadicPoint.from_digits(ds.n, labels[:t], labels[t:])
             assert other.value == fc.point.value
