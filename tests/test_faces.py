@@ -92,28 +92,45 @@ def _potentially_connected(ds):
     return len(reached) == len(ds)
 
 
-def test_edges_enumerated_exhaustively():
-    # the kernel's successor masks, live offsets and live edges against the
-    # edge relation rebuilt from its definition, w = n*u + d' - d
+def _kernel_sets():
+    # 40 random digit sets each at n = 2, 3, 4 and every (3,4) prefilter passer
     rng = random.Random(67)
     sets = [random_digitset(rng, n, rng.randrange(1, n ** 3 + 1))
             for n in (2, 3, 4) for _ in range(40)]
     passers = [ds for ds in map(DigitSet.from_code, enumerate_codes(3, 4))
                if _potentially_connected(ds)]
     assert passers
-    offset_set = set(OFFSETS)
-    for ds in sets + passers:
-        n = ds.n
-        labels = sorted((cell_index(d, n), cell_index(dp, n), d, dp)
-                        for d in ds.digits for dp in ds.digits)
-        relation = {u: [] for u in OFFSETS}  # u -> [(w, d)] in label order
-        for _, _, d, dp in labels:
-            for u in OFFSETS:
-                w = tuple(n * u[k] + dp[k] - d[k] for k in range(3))
-                if w in offset_set:
-                    relation[u].append((w, d))
-        assert _successors(ds.cells(), tables_for_order(n)) == [
+    return sets + passers
+
+
+def _edge_relation(ds):
+    # u -> [(w, d)] in label order, straight from the definition w = n*u + d' - d
+    n, offset_set = ds.n, set(OFFSETS)
+    labels = sorted((cell_index(d, n), cell_index(dp, n), d, dp)
+                    for d in ds.digits for dp in ds.digits)
+    relation = {u: [] for u in OFFSETS}
+    for _, _, d, dp in labels:
+        for u in OFFSETS:
+            w = tuple(n * u[k] + dp[k] - d[k] for k in range(3))
+            if w in offset_set:
+                relation[u].append((w, d))
+    return relation
+
+
+def test_pair_table_successors_match_edge_targets():
+    # successor masks from the digit-pair table against the targets of the
+    # edge relation rebuilt from its definition
+    for ds in _kernel_sets():
+        relation = _edge_relation(ds)
+        assert _successors(ds.cells(), tables_for_order(ds.n)) == [
             sum({1 << offset_index(w) for w, _ in relation[u]}) for u in OFFSETS]
+
+
+def test_edges_enumerated_exhaustively():
+    # the kernel's live offsets and live edges (target and first label, in
+    # label order) against the edge relation rebuilt from its definition
+    for ds in _kernel_sets():
+        relation = _edge_relation(ds)
         # live: the offsets left after pruning those with no live successor
         alive = {u for u in OFFSETS if relation[u]}
         while pruned := {u for u in alive if not any(w in alive for w, _ in relation[u])}:
@@ -122,7 +139,7 @@ def test_edges_enumerated_exhaustively():
         assert live == sum(1 << offset_index(u) for u in alive)
         for u in OFFSETS:
             assert edges[offset_index(u)] == [
-                (offset_index(w), cell_index(d, n)) for w, d in relation[u] if w in alive]
+                (offset_index(w), cell_index(d, ds.n)) for w, d in relation[u] if w in alive]
 
 
 def test_segment_face_classification():
