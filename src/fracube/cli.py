@@ -60,15 +60,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         doc["no_triple_points"] = all(d == 2 for d in bg.point_degrees())
         if connected:
             doc["dendrite"] = topology.is_dendrite(ds)
-            if len(ds) <= 12:
-                code = topology.graph_code(graph)
-                doc["graph_code"] = code.hex
-                if (args.order, len(ds)) == (3, 7):
-                    for label, text in pipeline.label_representatives():
-                        rep_graph = topology.intersection_graph(parse_digitset(text))
-                        if topology.graph_code(rep_graph) == code:
-                            doc["label"] = label
-                            break
+            code = topology.graph_code(graph)
+            doc["graph_code"] = code.hex
+            if (args.order, len(ds)) == (3, 7):
+                label = pipeline.label_codes(pipeline.label_representatives()).get(code)
+                if label is not None:
+                    doc["label"] = label
     if args.format == "md":
         lines = [f"# {doc['digits']}", ""]
         for key, value in doc.items():
@@ -170,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            open(args.out, "a", encoding="utf-8").close()  # fail before the work, not after
         return args.func(args)
     except (FracubeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,10 +29,6 @@ class Disconnected(FracubeError):
     """Operation requires a connected attractor."""
 
 
-class TooLarge(FracubeError):
-    """Graph exceeds the supported vertex count."""
-
-
 class InternalInconsistency(FracubeError):
     """Two decision routes that must agree produced different answers."""
 

@@ -381,17 +381,22 @@ def label_representatives() -> tuple[tuple[str, str], ...]:
     return tuple(seen.items())
 
 
-def match_labels(report: ClassificationReport,
-                 labels: tuple[tuple[str, str], ...]) -> ClassificationReport:
-    """Attach graph-type labels to the report via labelled digit sets."""
+def label_codes(labels: tuple[tuple[str, str], ...], n: int = 3) -> dict[GraphCode, str]:
+    """Map the graph code of each labelled digit set to its label."""
     code_label: dict[GraphCode, str] = {}
     for label, text in labels:
-        ds = parse_digitset(text, n=report.order)
-        gc = graph_code(intersection_graph(ds))
+        gc = graph_code(intersection_graph(parse_digitset(text, n=n)))
         existing = code_label.get(gc)
         if existing is not None and existing != label:
             raise LabelConflict(f"labels {existing} and {label} both map to code {gc}")
         code_label[gc] = label
+    return code_label
+
+
+def match_labels(report: ClassificationReport,
+                 labels: tuple[tuple[str, str], ...]) -> ClassificationReport:
+    """Attach graph-type labels to the report via labelled digit sets."""
+    code_label = label_codes(labels, n=report.order)
     report_codes = {t.graph_code for t in report.graph_types}
     for gc, label in code_label.items():
         if gc not in report_codes:

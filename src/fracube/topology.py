@@ -12,13 +12,10 @@ import itertools
 from dataclasses import dataclass
 
 from .core import DigitSet
-from .errors import Disconnected, InternalInconsistency, OnePointViolation, TooLarge
+from .errors import Disconnected, InternalInconsistency, OnePointViolation
 from .faces import FaceClass, TriadicPoint, classify_face, face_point
 
 Triple = tuple[int, int, int]
-
-_MAX_CODE_VERTICES = 12
-_MAX_ORDERINGS = 2_000_000
 
 
 def _realized_offsets(ds: DigitSet) -> dict[Triple, list[tuple[int, int]]]:
@@ -193,43 +190,42 @@ class GraphCode:
         return self.hex
 
 
-def _code_bits(n: int, adj: list[int], ordering: tuple[int, ...]) -> int:
-    bits = 0
-    for i in range(n):
-        row = adj[ordering[i]]
-        for j in range(i + 1, n):
-            bits = bits << 1 | (row >> ordering[j] & 1)
-    return bits
-
-
 def graph_code_from_edges(n: int, pairs) -> GraphCode:
-    """Canonical code of the simple graph on n vertices with the given edges."""
-    if n > _MAX_CODE_VERTICES:
-        raise TooLarge(f"graph codes support at most {_MAX_CODE_VERTICES} vertices, got {n}")
+    """Canonical code of the simple graph on n vertices with the given edges.
+
+    Partition refinement: the unplaced vertices form ordered cells, first the
+    degree classes.  The vertex at position i comes from the first cell, and
+    splitting every cell into its non-neighbours, then its neighbours, makes
+    row i least.  Only branches with the least row go on, and a twin of a
+    vertex already tried (same neighbours apart from each other) is skipped.
+    """
     adj = [0] * n
     for i, j in pairs:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    degrees = [a.bit_count() for a in adj]
-    if all(d == 0 for d in degrees) or all(d == n - 1 for d in degrees):
-        return GraphCode(n_vertices=n, bits=_code_bits(n, adj, tuple(range(n))))
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(degrees[v], []).append(v)
-    classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    total = 1
-    for cls in classes:
-        for k in range(2, len(cls) + 1):
-            total *= k
-        if total > _MAX_ORDERINGS:
-            raise TooLarge(f"too many degree-compatible orderings for {n} vertices")
-    best = None
-    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
-        ordering = tuple(v for part in parts for v in part)
-        bits = _code_bits(n, adj, ordering)
-        if best is None or bits < best:
-            best = bits
-    return GraphCode(n_vertices=n, bits=best)
+    degrees = sorted({a.bit_count() for a in adj}, reverse=True)
+    states = {tuple(sum(1 << v for v in range(n) if adj[v].bit_count() == d) for d in degrees)}
+    bits = 0
+    for i in range(n):
+        best, survivors = None, set()
+        for first, *rest in states:
+            tried: list[int] = []
+            for v in range(n):
+                if not first >> v & 1 or any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in tried):
+                    continue
+                tried.append(v)
+                row, cells = 0, []
+                for cell in (first & ~(1 << v), *rest):
+                    near = cell & adj[v]
+                    row = row << cell.bit_count() | (1 << near.bit_count()) - 1
+                    cells += [part for part in (cell & ~near, near) if part]
+                if best is None or row < best:
+                    best, survivors = row, set()
+                if row == best:
+                    survivors.add(tuple(cells))
+        bits = bits << n - 1 - i | best
+        states = survivors
+    return GraphCode(n_vertices=n, bits=bits)
 
 
 def graph_code(graph: PieceGraph) -> GraphCode:

@@ -116,12 +116,32 @@ def test_outputs_end_with_newline(tmp_path):
     (("enumerate", "--order", "5", "--pieces", "7"), "exceed the scan budget"),
     (("export", "000", "--depth", "0"), "error: depth must be >= 1"),
     (("inspect", "000", "--out", "/nonexistent/x.json"), "error: [Errno 2] No such file"),
+    (("enumerate", "--pieces", "6", "--out", "/nonexistent/r.json"),
+     "error: [Errno 2] No such file"),
 ])
 def test_enumerate_rejects_bad_input(args, message):
     out = run_cli(*args)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert message in out.stderr
+
+
+def test_enumerate_checks_out_before_the_scan(monkeypatch, tmp_path, capsys):
+    def refuse(**kw):
+        raise AssertionError("classify_all ran although --out cannot be written")
+    monkeypatch.setattr(cli.pipeline, "classify_all", refuse)
+    assert cli.main(["enumerate", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert "No such file" in capsys.readouterr().err
+
+
+def test_inspect_large_set_has_graph_code():
+    # 13 pieces, connected, one-point, not a dendrite
+    out = run_cli("inspect", "010_110_020_120_220_201_111_211_121_221_102_112_212")
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert doc["connected"] and doc["one_point"] and doc["dendrite"] is False
+    assert doc["graph_code"].startswith("13:")
+    assert "label" not in doc
 
 
 def test_enumerate_worker_count_does_not_change_bytes():

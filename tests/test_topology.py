@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
-from fracube.errors import Disconnected, OnePointViolation, TooLarge
+from fracube.errors import Disconnected, OnePointViolation
 from fracube.faces import face_point
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
+from fracube.pipeline import bundled_labels
 from fracube.topology import (
+    GraphCode,
     bipartite_graph,
     graph_code,
     graph_code_from_edges,
@@ -179,10 +181,84 @@ def test_graph_code_equality_iff_isomorphic():
 
 
 def test_graph_code_orders_and_limits():
-    with pytest.raises(TooLarge):
-        graph_code_from_edges(13, [])
-    # 12 isolated vertices: one degree class, but identity ordering found first
+    # no size limit: 13 isolated vertices, and a 12-vertex star (11! orderings)
+    assert graph_code_from_edges(13, []).bits == 0
     assert graph_code_from_edges(12, []).bits == 0
+    star = [(0, i) for i in range(1, 12)]
+    assert graph_code_from_edges(12, star) == graph_code_from_edges(
+        12, _relabeled(random.Random(12), 12, star))
+
+
+def brute_graph_code(n, pairs):
+    """Minimum adjacency bits over every degree-compatible ordering, one by one."""
+    adj = [0] * n
+    for i, j in pairs:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(cls) for cls in classes)):
+        ordering = [v for part in parts for v in part]
+        bits = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                bits = bits << 1 | (adj[ordering[i]] >> ordering[j] & 1)
+        if best is None or bits < best:
+            best = bits
+    return GraphCode(n_vertices=n, bits=best)
+
+
+def _random_graph(rng, n, p):
+    return [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+def _relabeled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in edges]
+
+
+def test_graph_code_matches_brute_force():
+    rng = random.Random(17)
+    graphs = []
+    for n in range(1, 9):  # one degree class: brute force tries all n! orderings
+        cycle = [(i, (i + 1) % n) for i in range(n)] if n > 2 else []
+        graphs += [(n, []), (n, list(itertools.combinations(range(n), 2))), (n, cycle)]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        graphs.append((n, _random_graph(rng, n, rng.random())))
+    for _, text in bundled_labels():
+        graph = intersection_graph(parse_digitset(text))
+        graphs.append((graph.n_vertices, graph.edge_pairs()))
+    for n, edges in graphs:
+        assert graph_code_from_edges(n, edges) == brute_graph_code(n, edges), (n, edges)
+
+
+def test_graph_code_equal_iff_networkx_isomorphic():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for n in range(10, 15):
+        graphs = [[(0, i) for i in range(1, n)], [(i, (i + 1) % n) for i in range(n)]]
+        graphs += [[(rng.randrange(i), i) for i in range(1, n)] for _ in range(4)]  # trees
+        graphs += [_random_graph(rng, n, 2.5 / n) for _ in range(4)]
+        graphs += [_relabeled(rng, n, edges) for edges in graphs]
+        pairs = list(itertools.combinations(range(n), 2))
+        codes, nx_graphs = [], []
+        for edges in graphs:
+            codes.append(graph_code_from_edges(n, edges))
+            nx_graphs.append(nx.empty_graph(n))
+            nx_graphs[-1].add_edges_from(edges)
+            # the code is the adjacency bits of the graph under some ordering
+            decoded = nx.empty_graph(n)
+            decoded.add_edges_from(
+                pair for k, pair in enumerate(pairs) if codes[-1].bits >> len(pairs) - 1 - k & 1)
+            assert nx.is_isomorphic(decoded, nx_graphs[-1]), edges
+        for a, b in itertools.combinations(range(len(graphs)), 2):
+            assert (codes[a] == codes[b]) == nx.is_isomorphic(nx_graphs[a], nx_graphs[b]), (
+                graphs[a], graphs[b])
 
 
 def test_graph_code_equivariance():
