@@ -13,6 +13,7 @@ Two deliberately separate routes re-derive face facts from first principles:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -39,13 +40,10 @@ class VoxelSet:
     depth: int
     cells: frozenset[Triple]
 
-    def boundary_slab(self, axis: int, side: int) -> frozenset[Triple]:
-        """Cells with the axis coordinate pinned to the grid boundary."""
-        return _boundary_slabs(self)[axis, side]
 
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # callers finish one digit set before the next
 def _boundary_slabs(vox: VoxelSet) -> dict[tuple[int, int], frozenset[Triple]]:
+    """(axis, side) -> cells with that coordinate pinned to the grid boundary."""
     edge = vox.digitset.n ** vox.depth - 1
     slabs: dict[tuple[int, int], set[Triple]] = {
         (axis, side): set() for axis in range(3) for side in (0, edge)}
@@ -58,12 +56,12 @@ def _boundary_slabs(vox: VoxelSet) -> dict[tuple[int, int], frozenset[Triple]]:
     return {key: frozenset(val) for key, val in slabs.items()}
 
 
-def voxelize(ds: DigitSet, depth: int, budget: int = DEFAULT_CELL_BUDGET) -> VoxelSet:
+def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     """Union of all depth-digit subdivision cells of the digit set."""
     if depth < 1:
         raise InvalidRequest("depth must be >= 1")
-    if len(ds) ** depth > budget:
-        raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {budget}")
+    if len(ds) ** depth > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {DEFAULT_CELL_BUDGET}")
     cells: Iterable[Triple] = [(0, 0, 0)]
     scale = 1
     for _ in range(depth):
@@ -84,7 +82,6 @@ class EmptinessCheck(enum.Enum):
 
 
 def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
-                      budget: int = DEFAULT_CELL_BUDGET,
                       vox: VoxelSet | None = None) -> EmptinessCheck:
     """Certify F(alpha) empty when the closed voxel regions do not touch.
 
@@ -96,39 +93,31 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     """
     offset_enc(alpha)  # validate
     if vox is None:
-        vox = voxelize(ds, depth, budget=budget)
+        vox = voxelize(ds, depth)
     elif vox.digitset != ds or vox.depth != depth:
         raise ValueError("precomputed voxel set does not match the request")
     edge = ds.n ** depth - 1
+    slabs = _boundary_slabs(vox)
     free = [k for k in range(3) if alpha[k] == 0]
     near: set[Triple] | frozenset[Triple] | None = None
     far: set[Triple] | frozenset[Triple] | None = None
     for k in range(3):
         if alpha[k] == 0:
             continue
-        near_slab = vox.boundary_slab(k, 0 if alpha[k] > 0 else edge)
-        far_slab = vox.boundary_slab(k, edge if alpha[k] > 0 else 0)
+        near_slab = slabs[k, 0 if alpha[k] > 0 else edge]
+        far_slab = slabs[k, edge if alpha[k] > 0 else 0]
         near = near_slab if near is None else near & near_slab
         far = far_slab if far is None else far & far_slab
     if not near or not far:
         return EmptinessCheck.CERTIFIED_EMPTY
     far_proj = {tuple(cell[k] for k in free) for cell in far}
-    deltas = list(_neighbor_offsets(len(free)))
+    deltas = list(itertools.product((-1, 0, 1), repeat=len(free)))
     for cell in near:
         proj = tuple(cell[k] for k in free)
         for d in deltas:
             if tuple(proj[k] + d[k] for k in range(len(free))) in far_proj:
                 return EmptinessCheck.UNKNOWN
     return EmptinessCheck.CERTIFIED_EMPTY
-
-
-def _neighbor_offsets(dim: int):
-    if dim == 0:
-        yield ()
-        return
-    for rest in _neighbor_offsets(dim - 1):
-        for d in (-1, 0, 1):
-            yield (d,) + rest
 
 
 class FaceCardinality(enum.Enum):
@@ -161,6 +150,13 @@ def _has_long_path(edges: dict[Triple, list[tuple[Triple, Triple]]], start: Trip
     return True
 
 
+@lru_cache(maxsize=1)  # callers finish one digit set before the next
+def _relation(ds: DigitSet) -> tuple[dict[Triple, list[tuple[Triple, Triple]]], frozenset[Triple]]:
+    """The label relation and the offsets that start a 26-step path."""
+    edges = _label_edges(ds)
+    return edges, frozenset(u for u in OFFSETS if _has_long_path(edges, u, 26))
+
+
 def oracle_face_cardinality(ds: DigitSet, alpha: Triple,
                             depth: int = STABILIZATION_CAP) -> FaceCardinality:
     """Re-decide #F(alpha) in {0, 1, >=2} by breadth-first path expansion.
@@ -172,11 +168,10 @@ def oracle_face_cardinality(ds: DigitSet, alpha: Triple,
     """
     offset_enc(alpha)  # validate
     n = ds.n
-    edges = _label_edges(ds)
-    if not _has_long_path(edges, alpha, 26):
+    edges, extendable = _relation(ds)
+    if alpha not in extendable:
         return FaceCardinality.EMPTY
 
-    extendable = {u for u in OFFSETS if _has_long_path(edges, u, 26)}
     # pair states: (offset of path 1, offset of path 2, difference of partial sums)
     frontier: set[tuple[Triple, Triple, Triple]] = {(alpha, alpha, (0, 0, 0))}
     visited = set(frontier)
@@ -248,8 +243,8 @@ def export_mesh(vox: VoxelSet, fmt: str) -> str:
     raise ValueError(f"unknown mesh format {fmt!r}")
 
 
-def faces_agree(ds: DigitSet, alpha: Triple, voxel_depth: int | None = None) -> bool:
-    """Cross-validate the exact classifier against both oracle routes."""
+def faces_agree(ds: DigitSet, alpha: Triple) -> bool:
+    """Cross-validate the exact classifier against the path oracle."""
     exact = faces.classify_face(ds, alpha)
     card = oracle_face_cardinality(ds, alpha)
     expected = {
@@ -257,9 +252,4 @@ def faces_agree(ds: DigitSet, alpha: Triple, voxel_depth: int | None = None) -> 
         FaceCardinality.ONE: faces.FaceKind.POINT,
         FaceCardinality.AT_LEAST_TWO: faces.FaceKind.MULTI,
     }[card]
-    if exact.kind is not expected:
-        return False
-    if voxel_depth is not None:
-        if oracle_face_empty(ds, alpha, voxel_depth) is EmptinessCheck.CERTIFIED_EMPTY:
-            return exact.kind is faces.FaceKind.EMPTY
-    return True
+    return exact.kind is expected

@@ -58,13 +58,6 @@ MAX_CANDIDATES = 10 ** 8
 
 TABLE_DATA_SHA256 = "285531e7b0e1a612b40b72ae86600c3fbd5640f7f8f2806154c2533bd83a6a94"
 
-# Reference order of the twelve graph types (five trees, seven non-trees).
-LABEL_ORDER = (
-    "7_11", "7_10", "7_9", "7_5", "7_6",
-    "nonden1", "nonden2", "nonden3", "nonden4", "nonden5", "nonden6", "nonden7",
-)
-
-
 def _next_code(v: int) -> int:
     """Next integer with the same popcount (Gosper's hack)."""
     u = v & -v
@@ -505,7 +498,9 @@ def render_csv(report: ClassificationReport) -> str:
 def _ordered_types(report: ClassificationReport, dendrite: bool) -> list[GraphType]:
     rows = [t for t in report.graph_types if t.dendrite == dendrite]
     if all(t.label for t in rows):
-        rows.sort(key=lambda t: LABEL_ORDER.index(t.label) if t.label in LABEL_ORDER else 99)
+        # the labels in the order of the bundled table
+        order = [label for label, _ in label_representatives()]
+        rows.sort(key=lambda t: order.index(t.label) if t.label in order else len(order))
     return rows
 
 

@@ -1,17 +1,24 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fracube import cli
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args):
+    # the child imports fracube from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "fracube", *args],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, timeout=600, env=env)
 
 
 def test_inspect_dendrite_representative():

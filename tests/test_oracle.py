@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fracube import oracle
 from fracube.core import DigitSet, parse_digitset
 from fracube.errors import BudgetExceeded
 from fracube.faces import OFFSETS, FaceKind, classify_face
@@ -15,6 +16,7 @@ from fracube.oracle import (
     oracle_face_empty,
     voxelize,
 )
+from fracube.pipeline import bundled_labels
 
 SEGMENT = DigitSet.from_digits([(0, 0, 0), (0, 0, 1), (0, 0, 2)])
 CORNERS = parse_digitset("000_002_020_200_022_202_220")
@@ -105,6 +107,32 @@ def test_certified_empty_implies_empty_class():
         for alpha in OFFSETS:
             if oracle_face_empty(ds, alpha, 4, vox=vox) is EmptinessCheck.CERTIFIED_EMPTY:
                 assert classify_face(ds, alpha).kind is FaceKind.EMPTY
+
+
+def _clear_oracle_caches():
+    for fn in vars(oracle).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def test_label_relation_built_once_per_digit_set(monkeypatch):
+    rng = random.Random(47)
+    cases = [parse_digitset(text) for _, text in bundled_labels()[::15]]
+    cases += [random_digitset(rng, n=n, size=rng.randrange(2, 9)) for n in (2, 3, 4) for _ in range(3)]
+    cases = list(dict.fromkeys(cases))
+    cold = {}
+    for ds in cases:
+        for alpha in OFFSETS:
+            _clear_oracle_caches()
+            cold[ds, alpha] = oracle_face_cardinality(ds, alpha)
+    builds = []
+    build = oracle._label_edges
+    monkeypatch.setattr(oracle, "_label_edges", lambda ds: builds.append(ds) or build(ds))
+    _clear_oracle_caches()
+    for ds in cases:
+        for alpha in OFFSETS:
+            assert oracle_face_cardinality(ds, alpha) is cold[ds, alpha], (ds, alpha)
+        assert builds.count(ds) == 1, ds
 
 
 def test_depth_too_small():

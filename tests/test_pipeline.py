@@ -220,6 +220,7 @@ def test_render_formats_on_labeled_report(full_report):
     assert len(csv_text.splitlines()) == len(full_report.classes) + 1
     md = render_markdown(labeled)
     assert "## Dendrites" in md and "## Non-dendrites" in md
+    assert "| graph | 7_11 | 7_10 | 7_9 | 7_5 | 7_6 |" in md
     assert "| N | 19 | 3 | 12 | 3 | 1 |" in md
 
 
