@@ -222,7 +222,7 @@ class CanonicalForm:
 
 
 def canonical_code(code: int, n: int) -> int:
-    """Minimum occupancy code over the 48 images (hot-path helper)."""
+    """Minimum occupancy code over the 48 images."""
     return min(_image(table, code) for table in _cell_permutations(n))
 
 

@@ -1,13 +1,18 @@
 """Full enumeration and classification of order-n fractal cubes.
 
 The scan walks every N-subset of the n^3 cells in increasing occupancy-code
-order (Gosper iteration; worker ranks are split via colex unranking), filters
-by connectivity and then by the one-point intersection property, and groups
-the survivors by canonical code under the 48 cube symmetries.  Orbits whose
-digit sets are translates of each other inside the grid have translated
-attractors, so by default they are merged into one isometry class.  Workers
-own disjoint rank ranges and return mergeable partial counts, so the
-resulting report is byte-identical for any worker count.
+order (Gosper iteration; worker ranks are split via colex unranking) and
+filters only the codes that are minimal in their orbit under the 48 cube
+symmetries (isomorph rejection, after Read 1978 and McKay 1998).  The
+filters are invariant under the cube group, so each orbit is decided once
+by its minimum.  A code's images under all 47 non-identity symmetries come
+at once from per-slice lookup tables, which also give the orbit size.  The
+minimal codes are filtered by connectivity and then by the one-point
+intersection property.  Orbits whose digit sets are translates of each
+other inside the grid have translated attractors, so by default they are
+merged into one isometry class.  Workers own disjoint rank ranges and
+return mergeable partial results, so the resulting report is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +30,16 @@ from itertools import product
 from math import comb
 from typing import Iterator
 
-from .core import DigitSet, _check_order, canonical_code, canonical_form, digit_from_cell, parse_digitset
+from .core import (
+    CUBE_GROUP,
+    DigitSet,
+    _cell_permutations,
+    _check_order,
+    canonical_code,
+    canonical_form,
+    digit_from_cell,
+    parse_digitset,
+)
 from .errors import (
     BudgetExceeded,
     DataIntegrityError,
@@ -120,13 +134,79 @@ def _component(adj: list[int]) -> int:
     return comp
 
 
-def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
-    """Filter candidates in a rank range; return canonical survivor counts.
+# Codes are read in slices of this many bits, one lookup table per slice.
+_SLICE_BITS = 9
+_SLICE_MASK = (1 << _SLICE_BITS) - 1
 
-    Works on raw occupancy codes for speed: potential adjacency first, then
-    automaton liveness for exact connectivity, then the product search for
-    the one-point property.  The last two are the kernel behind
-    :func:`fracube.faces.classify_face`.
+
+@lru_cache(maxsize=4)
+def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int]]], int, int]:
+    """Per-slice lookup tables of a code's images under the cube group.
+
+    Packed values have one field of ``n**3 + 1`` bits for each non-identity
+    element ``g`` of ``CUBE_GROUP``.  Entry ``v`` of a slice's table is the
+    sum over ``g`` of ``g(part) - part`` shifted into field ``g``, where
+    ``part`` is the code of the slice's cells in ``v``.  A code's images
+    are the OR of its slices' images, so the guard bits (the top bit of
+    every field) plus one entry per slice give ``2**n**3 + g(code) - code``
+    in field ``g``, which never leaves its field.  Returns ``(slices, ones,
+    guards)``: each slice's lowest cell and table, the packed value with 1
+    in every field, and the guard bits.
+    """
+    ncells = n ** 3
+    width = ncells + 1
+    perms = _cell_permutations(n)[1:]
+    ones = sum(1 << width * g for g in range(len(perms)))
+    slices = []
+    for lo in range(0, ncells, _SLICE_BITS):
+        table = [0]
+        for c in range(lo, min(lo + _SLICE_BITS, ncells)):
+            cell = sum(1 << width * g + perm[c] for g, perm in enumerate(perms)) - (ones << c)
+            table += [entry + cell for entry in table]
+        slices.append((lo, table))
+    return slices, ones, ones << ncells
+
+
+def _orbit_representatives(n: int, N: int, start: int, count: int) -> Iterator[tuple[int, int]]:
+    """Codes of ranks ``start .. start + count - 1`` minimal in their orbit.
+
+    Yields ``(code, orbit size)`` for each code that no element of
+    ``CUBE_GROUP`` maps to a smaller code.  In the packed sum described in
+    :func:`_orbit_tables`, field ``g`` keeps its guard bit iff ``g(code) >=
+    code`` and holds the guard alone iff ``g`` fixes the code.  Consecutive
+    codes with the same high slices share the lookups of those slices.
+    """
+    slices, ones, guards = _orbit_tables(n)
+    (_, low_table), *high_slices = slices
+    code = _unrank_combination(start, N)
+    high = upper = -1
+    for _ in range(count):
+        this = code
+        code = _next_code(code)
+        if this >> _SLICE_BITS != high:
+            high = this >> _SLICE_BITS
+            upper = guards
+            for lo, table in high_slices:
+                if part := this >> lo & _SLICE_MASK:
+                    upper += table[part]
+        diff = upper + low_table[this & _SLICE_MASK]
+        if diff & guards != guards:
+            continue
+        # subtracting 1 clears the guard of exactly the fields that hold it alone
+        fixed = len(CUBE_GROUP) - ((diff - ones) & guards).bit_count()
+        yield this, len(CUBE_GROUP) // fixed
+
+
+def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
+    """Filter the orbit-minimal codes of a rank range.
+
+    Returns ``({code: orbit size}, codes walked)`` for the surviving
+    orbit minima.  Works on raw occupancy codes for speed: potential
+    adjacency first, then automaton liveness for exact connectivity, then
+    the product search for the one-point property.  The last two are the
+    kernel behind :func:`fracube.faces.classify_face`.  All three are
+    invariant under the cube group, so a minimum's verdict holds for its
+    whole orbit.
     """
     n, N, start, count = args
     tables = tables_for_order(n)
@@ -137,13 +217,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     neg = [negate_index(i) for i in range(26)]
 
     survivors: dict[int, int] = {}
-    processed = 0
-    code = _unrank_combination(start, N)
-    for _ in range(count):
-        processed += 1
-        this = code
-        code = _next_code(code)
-
+    for this, orbit_size in _orbit_representatives(n, N, start, count):
         cells = []
         rest = this
         while rest:
@@ -183,9 +257,8 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
         if any(_escape_reachable(edges, alpha, tables) for alpha in live_offs):
             continue
 
-        canon = canonical_code(this, n)
-        survivors[canon] = survivors.get(canon, 0) + 1
-    return survivors, processed
+        survivors[this] = orbit_size
+    return survivors, count
 
 
 def _translate_codes(code: int, n: int) -> list[int]:
@@ -270,6 +343,7 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
         results = [_scan_chunk(chunks[0])]
     else:
         tables_for_order(n)  # build shared tables before forking
+        _orbit_tables(n)
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_scan_chunk, chunks)
 
@@ -308,7 +382,7 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
                 raise InternalInconsistency(f"representative {ds} is not canonical")
             if cf.orbit_size != merged[m]:
                 raise InternalInconsistency(
-                    f"orbit of {ds} has {cf.orbit_size} elements but {merged[m]} survivors"
+                    f"orbit of {ds} has {cf.orbit_size} elements, the slice tables give {merged[m]}"
                 )
             size += cf.orbit_size
         survivors += size

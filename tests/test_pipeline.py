@@ -75,9 +75,10 @@ def test_worker_determinism_small():
         assert render_markdown(solo) == render_markdown(duo)
 
 
-def test_worker_count_clamped_to_cores(monkeypatch):
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace multiprocessing.Pool by an in-process map; returns the requested sizes."""
     import multiprocessing
-    import os
 
     requested = []
 
@@ -94,11 +95,28 @@ def test_worker_count_clamped_to_cores(monkeypatch):
         def map(self, fn, chunks):
             return [fn(chunk) for chunk in chunks]
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return requested
+
+
+def test_worker_count_clamped_to_cores(monkeypatch, in_process_pool):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     report = classify_all(3, 3, workers=5000)
-    assert requested == [2]
+    assert in_process_pool == [2]
     assert render_json(report) == render_json(classify_all(3, 3, workers=1))
+
+
+def test_chunk_boundaries_split_representatives(monkeypatch, in_process_pool):
+    # orbit minima cluster at low ranks, so most chunks hold few of them
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    solo = render_json(classify_all(3, 5, workers=1))
+    for k in range(2, 6):
+        assert render_json(classify_all(3, 5, workers=k)) == solo
+    assert in_process_pool == [2, 3, 4, 5]
 
 
 def test_report_invariants_small():
@@ -141,26 +159,67 @@ def test_match_labels_conflict_and_unknown():
     assert labeled.labels() == {"cell": report.classes[0].graph_code}
 
 
+def _rank_combination(code: int) -> int:
+    """Inverse of _unrank_combination: the colex rank of a code."""
+    rank, i, rest = 0, 0, code
+    while rest:
+        low = rest & -rest
+        i += 1
+        rank += comb(low.bit_length() - 1, i)
+        rest ^= low
+    return rank
+
+
 def test_scan_agrees_with_public_filters():
-    # the tuned scan must reproduce is_connected + has_one_point_property
+    # the tuned scan must reproduce is_connected + has_one_point_property on
+    # every orbit minimum, with canonical_form's orbit size
     from fracube.pipeline import _scan_chunk, _next_code
     from fracube.topology import has_one_point_property, is_connected
-    from fracube.core import canonical_code
+    from fracube.core import canonical_code, canonical_form
     import random
     rng = random.Random(71)
-    for _ in range(4):
-        start = rng.randrange(0, comb(27, 7) - 600)
+    starts = [rng.randrange(0, comb(27, 7) - 600) for _ in range(4)]
+    # windows that start at survivor representatives, so that some expectation is not empty
+    starts += [_rank_combination(canonical_code(parse_digitset(text).code, 3))
+               for _, text in bundled_labels()[::40]]
+    verdicts: dict[int, bool] = {}
+
+    def verdict(code):
+        if code not in verdicts:
+            ds = DigitSet.from_code(code)
+            verdicts[code] = is_connected(ds) and has_one_point_property(ds)
+        return verdicts[code]
+
+    nonempty = 0
+    for start in starts:
         survivors, count = _scan_chunk((3, 7, start, 600))
         assert count == 600
         expected: dict[int, int] = {}
         code = _unrank_combination(start, 7)
         for _ in range(600):
-            ds = DigitSet.from_code(code)
-            if is_connected(ds) and has_one_point_property(ds):
-                canon = canonical_code(code, 3)
-                expected[canon] = expected.get(canon, 0) + 1
+            canon = canonical_code(code, 3)
+            # the filters are invariant under the cube group
+            assert verdict(code) == verdict(canon)
+            if canon == code and verdict(code):
+                expected[code] = canonical_form(DigitSet.from_code(code)).orbit_size
             code = _next_code(code)
         assert survivors == expected
+        nonempty += bool(expected)
+    assert nonempty >= 3
+
+
+def test_orbit_representatives_partition_codes():
+    # the scan's minimality test against canonical_code and canonical_form
+    from fracube.core import canonical_code, canonical_form
+    from fracube.pipeline import _orbit_representatives
+    sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 5)] + [(4, 1), (4, 2), (5, 1), (5, 2)]
+    for n, N in sizes:
+        total = comb(n ** 3, N)
+        reps = dict(_orbit_representatives(n, N, 0, total))
+        assert set(reps) == {canonical_code(c, n) for c in enumerate_codes(n, N)}, (n, N)
+        for code, size in reps.items():
+            assert size == canonical_form(DigitSet.from_code(code, n=n)).orbit_size, (n, N, code)
+        assert sum(reps.values()) == total, (n, N)
 
 
 def test_full_report_headline_counts(full_report):
