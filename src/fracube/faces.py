@@ -26,13 +26,12 @@ from .errors import NotSingleton, OutOfRange
 
 Triple = tuple[int, int, int]
 
-# Offsets encoded as (x+1) + 3(y+1) + 9(z+1); 13 is the zero vector.
+# Offsets are indexed by their code (x+1) + 3(y+1) + 9(z+1) in 0..26: 13 is
+# the zero vector, and -v has code 26 - offset_enc(v).
 ZERO_ENC = 13
-OFFSET_ENCS: tuple[int, ...] = tuple(e for e in range(27) if e != ZERO_ENC)
 OFFSETS: tuple[Triple, ...] = tuple(
-    (e % 3 - 1, e // 3 % 3 - 1, e // 9 - 1) for e in OFFSET_ENCS
+    (e % 3 - 1, e // 3 % 3 - 1, e // 9 - 1) for e in range(27) if e != ZERO_ENC
 )
-_IDX_OF_ENC = {e: i for i, e in enumerate(OFFSET_ENCS)}
 
 
 def offset_enc(v: Triple) -> int:
@@ -41,20 +40,11 @@ def offset_enc(v: Triple) -> int:
     return (v[0] + 1) + 3 * (v[1] + 1) + 9 * (v[2] + 1)
 
 
-def offset_index(v: Triple) -> int:
-    return _IDX_OF_ENC[offset_enc(v)]
-
-
-def negate_index(idx: int) -> int:
-    """Index of -v given the index of v."""
-    return _IDX_OF_ENC[26 - OFFSET_ENCS[idx]]
-
-
 class _Tables:
     """Static per-order tables shared by the automaton and the pipeline.
 
     pair_edges[a * ncells + b] lists the labelled edges by label: one
-    (u_idx, 1 << w_idx) per edge u -> w labelled (digit(a), digit(b)), that
+    (u_enc, 1 << w_enc) per edge u -> w labelled (digit(a), digit(b)), that
     is, per offset u with w = n*u + digit(b) - digit(a) an offset.  For
     n >= 3 a difference of two digits realizes at most one edge.
     """
@@ -68,13 +58,13 @@ class _Tables:
         self.d3 = d ** 3
 
         pair_edges: list[list[tuple[int, int]]] = [[] for _ in range(ncells * ncells)]
-        for u_idx, u in enumerate(OFFSETS):
+        for u in OFFSETS:
             axes = [(u[k],) if u[k] else (-1, 0, 1) for k in range(3)]
             for w in product(*axes):
                 # the labels of u -> w are the pairs (d, d + delta) inside the grid
                 delta = tuple(w[k] - n * u[k] for k in range(3))
                 shift = delta[0] + n * delta[1] + n * n * delta[2]
-                edge = (u_idx, 1 << _IDX_OF_ENC[offset_enc(w)])
+                edge = (offset_enc(u), 1 << offset_enc(w))
                 for a, xyz in enumerate(self.coords):
                     if all(0 <= xyz[k] + delta[k] < n for k in range(3)):
                         pair_edges[a * ncells + a + shift].append(edge)
@@ -91,13 +81,13 @@ class _Tables:
                     next2[s_enc * self.d3 + diff_enc] = (nxt[0] + 1) + 3 * (nxt[1] + 1) + 9 * (nxt[2] + 1)
         self.next2 = next2
 
-        # pair_off[a * ncells + b] = index of digit(a) - digit(b), 255 = far apart
+        # pair_off[a * ncells + b] = code of digit(a) - digit(b), 255 = equal or far apart
         pair_off = bytearray([255]) * (ncells * ncells)
         for b, xyz in enumerate(self.coords):
-            for idx, v in enumerate(OFFSETS):
+            for v in OFFSETS:
                 ax, ay, az = xyz[0] + v[0], xyz[1] + v[1], xyz[2] + v[2]
                 if 0 <= ax < n and 0 <= ay < n and 0 <= az < n:
-                    pair_off[(ax + n * ay + n * n * az) * ncells + b] = idx
+                    pair_off[(ax + n * ay + n * n * az) * ncells + b] = offset_enc(v)
         self.pair_off = bytes(pair_off)
 
         # pair_diff[a * ncells + b] = encoded digit(a) - digit(b), the index into
@@ -116,7 +106,7 @@ def _successors(cells, tables: _Tables) -> list[int]:
     """succ[u]: bitmask of the offsets w with an edge u -> w, by digit pairs."""
     pair_edges = tables.pair_edges
     ncells = tables.ncells
-    succ = [0] * 26
+    succ = [0] * 27
     for a in cells:
         row = a * ncells
         for b in cells:
@@ -150,14 +140,14 @@ def _scc_live(succ: list[int]) -> int:
 
 
 def _live_edges(cells, live: int, tables: _Tables) -> list[list[tuple[int, int]]]:
-    """edges[u]: (w_idx, a) for each edge u -> w into a live w, label (digit(a), .).
+    """edges[u]: (w_enc, a) for each edge u -> w into a live w, label (digit(a), .).
 
     Entries are in increasing (a, b) label order, so edges[u][0] carries the
     smallest label.
     """
     pair_edges = tables.pair_edges
     ncells = tables.ncells
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(26)]
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(27)]
     for a in cells:
         row = a * ncells
         for b in cells:
@@ -167,7 +157,7 @@ def _live_edges(cells, live: int, tables: _Tables) -> list[list[tuple[int, int]]
     return edges
 
 
-def _escape_reachable(edges, start_idx: int, tables: _Tables) -> bool:
+def _escape_reachable(edges, start: int, tables: _Tables) -> bool:
     """True iff two live label paths from the start offset can diverge.
 
     Searches the product of the live automaton with itself and the 27
@@ -175,9 +165,8 @@ def _escape_reachable(edges, start_idx: int, tables: _Tables) -> bool:
     """
     next2, d3 = tables.next2, tables.d3
     pair_diff, ncells = tables.pair_diff, tables.ncells
-    start = (start_idx * 26 + start_idx) * 27 + ZERO_ENC
-    seen = {start}
-    todo = [(start_idx, start_idx, ZERO_ENC)]
+    seen = {(start * 27 + start) * 27 + ZERO_ENC}
+    todo = [(start, start, ZERO_ENC)]
     while todo:
         u1, u2, s = todo.pop()
         sbase = s * d3
@@ -187,7 +176,7 @@ def _escape_reachable(edges, start_idx: int, tables: _Tables) -> bool:
                 ns = next2[sbase + pair_diff[row + a2]]
                 if ns < 0:
                     return True
-                key = (v1 * 26 + v2) * 27 + ns
+                key = (v1 * 27 + v2) * 27 + ns
                 if key not in seen:
                     seen.add(key)
                     todo.append((v1, v2, ns))
@@ -271,17 +260,17 @@ def build_automaton(digitset: DigitSet) -> tuple[int, list[list[tuple[int, int]]
 @lru_cache(maxsize=65536)
 def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     """Exact three-way classification of F(alpha): empty, singleton or bigger."""
-    idx = offset_index(alpha)
+    enc = offset_enc(alpha)
     live, edges = build_automaton(digitset)
-    if not live >> idx & 1:
+    if not live >> enc & 1:
         return FaceClass(FaceKind.EMPTY)
     tables = tables_for_order(digitset.n)
-    if _escape_reachable(edges, idx, tables):
+    if _escape_reachable(edges, enc, tables):
         return FaceClass(FaceKind.MULTI)
     # the point: follow the smallest live label until an offset repeats
     seen_at: dict[int, int] = {}
     labels: list[Digit] = []
-    u = idx
+    u = enc
     while u not in seen_at:
         seen_at[u] = len(labels)
         u, a = edges[u][0]

@@ -157,8 +157,7 @@ def _relation(ds: DigitSet) -> tuple[dict[Triple, list[tuple[Triple, Triple]]], 
     return edges, frozenset(u for u in OFFSETS if _has_long_path(edges, u, 26))
 
 
-def oracle_face_cardinality(ds: DigitSet, alpha: Triple,
-                            depth: int = STABILIZATION_CAP) -> FaceCardinality:
+def oracle_face_cardinality(ds: DigitSet, alpha: Triple) -> FaceCardinality:
     """Re-decide #F(alpha) in {0, 1, >=2} by breadth-first path expansion.
 
     A path of 26 steps must revisit an offset, so faces are nonempty iff a
@@ -175,7 +174,7 @@ def oracle_face_cardinality(ds: DigitSet, alpha: Triple,
     # pair states: (offset of path 1, offset of path 2, difference of partial sums)
     frontier: set[tuple[Triple, Triple, Triple]] = {(alpha, alpha, (0, 0, 0))}
     visited = set(frontier)
-    for _ in range(depth):
+    for _ in range(STABILIZATION_CAP):
         if not frontier:
             return FaceCardinality.ONE
         nxt = set()
@@ -194,7 +193,7 @@ def oracle_face_cardinality(ds: DigitSet, alpha: Triple,
                         visited.add(state)
                         nxt.add(state)
         frontier = nxt
-    raise DepthTooSmall(f"pair frontier still growing after {depth} levels")
+    raise DepthTooSmall(f"pair frontier still growing after {STABILIZATION_CAP} levels")
 
 
 def export_cells(vox: VoxelSet) -> str:

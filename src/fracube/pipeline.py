@@ -1,7 +1,7 @@
 """Full enumeration and classification of order-n fractal cubes.
 
 The scan walks every N-subset of the n^3 cells in increasing occupancy-code
-order (Gosper iteration; worker ranks are split via colex unranking) and
+order (Gosper iteration), in one chunk per highest occupied cell, and
 filters only the codes that are minimal in their orbit under the 48 cube
 symmetries (isomorph rejection, after Read 1978 and McKay 1998).  The
 filters are invariant under the cube group, so each orbit is decided once
@@ -10,7 +10,7 @@ at once from per-slice lookup tables, which also give the orbit size.  The
 minimal codes are filtered by connectivity and then by the one-point
 intersection property.  Orbits whose digit sets are translates of each
 other inside the grid have translated attractors, so by default they are
-merged into one isometry class.  Workers own disjoint rank ranges and
+merged into one isometry class.  Workers own disjoint chunks and
 return mergeable partial results, so the resulting report is
 byte-identical for any worker count.
 """
@@ -54,7 +54,6 @@ from .faces import (
     _live_edges,
     _scc_live,
     _successors,
-    negate_index,
     tables_for_order,
 )
 from .topology import (
@@ -77,19 +76,6 @@ def _next_code(v: int) -> int:
     u = v & -v
     w = v + u
     return w | ((v ^ w) // u) >> 2
-
-
-def _unrank_combination(rank: int, k: int) -> int:
-    """Occupancy code of the rank-th k-subset in increasing code order."""
-    mask = 0
-    r = rank
-    for i in range(k, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= r:
-            c += 1
-        r -= comb(c, i)
-        mask |= 1 << c
-    return mask
 
 
 def enumerate_codes(n: int = 3, N: int = 7) -> Iterator[int]:
@@ -167,8 +153,8 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int]]], int, int]:
     return slices, ones, ones << ncells
 
 
-def _orbit_representatives(n: int, N: int, start: int, count: int) -> Iterator[tuple[int, int]]:
-    """Codes of ranks ``start .. start + count - 1`` minimal in their orbit.
+def _orbit_representatives(n: int, N: int, first: int, count: int) -> Iterator[tuple[int, int]]:
+    """The ``count`` codes from ``first`` on that are minimal in their orbit.
 
     Yields ``(code, orbit size)`` for each code that no element of
     ``CUBE_GROUP`` maps to a smaller code.  In the packed sum described in
@@ -178,7 +164,7 @@ def _orbit_representatives(n: int, N: int, start: int, count: int) -> Iterator[t
     """
     slices, ones, guards = _orbit_tables(n)
     (_, low_table), *high_slices = slices
-    code = _unrank_combination(start, N)
+    code = first
     high = upper = -1
     for _ in range(count):
         this = code
@@ -198,7 +184,7 @@ def _orbit_representatives(n: int, N: int, start: int, count: int) -> Iterator[t
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
-    """Filter the orbit-minimal codes of a rank range.
+    """Filter the orbit-minimal codes of ``count`` codes from ``first`` on.
 
     Returns ``({code: orbit size}, codes walked)`` for the surviving
     orbit minima.  Works on raw occupancy codes for speed: potential
@@ -208,16 +194,15 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     invariant under the cube group, so a minimum's verdict holds for its
     whole orbit.
     """
-    n, N, start, count = args
+    n, N, first, count = args
     tables = tables_for_order(n)
     ncells = tables.ncells
     pair_off = tables.pair_off
     scc_live = _scc_live
     full = (1 << N) - 1
-    neg = [negate_index(i) for i in range(26)]
 
     survivors: dict[int, int] = {}
-    for this, orbit_size in _orbit_representatives(n, N, start, count):
+    for this, orbit_size in _orbit_representatives(n, N, first, count):
         cells = []
         rest = this
         while rest:
@@ -248,7 +233,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
             if live >> off & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-                live_offs.add(off if off <= neg[off] else neg[off])
+                live_offs.add(min(off, 26 - off))
         if _component(adj) != full:
             continue
 
@@ -336,11 +321,12 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     total = comb(n ** 3, N)
     if total > MAX_CANDIDATES:
         raise BudgetExceeded(f"{total} candidates exceed the scan budget {MAX_CANDIDATES}")
-    workers = min(workers, total, os.cpu_count() or 1)
-    bounds = [total * w // workers for w in range(workers + 1)]
-    chunks = [(n, N, bounds[w], bounds[w + 1] - bounds[w]) for w in range(workers)]
+    # the codes whose highest cell is h follow one another in Gosper order
+    low = (1 << N - 1) - 1
+    chunks = [(n, N, low | 1 << h, comb(h, N - 1)) for h in range(N - 1, n ** 3)]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers == 1:
-        results = [_scan_chunk(chunks[0])]
+        results = [_scan_chunk(chunk) for chunk in chunks]
     else:
         tables_for_order(n)  # build shared tables before forking
         _orbit_tables(n)

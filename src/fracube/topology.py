@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import DigitSet
 from .errors import Disconnected, InternalInconsistency, OnePointViolation
-from .faces import FaceClass, TriadicPoint, classify_face, face_point
+from .faces import FaceClass, TriadicPoint, classify_face
 
 Triple = tuple[int, int, int]
 
@@ -125,10 +125,9 @@ def _bipartite(graph: PieceGraph) -> BipartiteGraph:
     dig = ds.digits
     point_ids: dict[TriadicPoint, int] = {}  # points compare by value
     edges: set[tuple[int, int]] = set()
-    for i, j, alpha, _ in sorted(graph.edges, key=lambda e: e[2]):
-        # K_i cap K_j = (F(d_j - d_i) + d_i)/n
-        fp = face_point(ds, (-alpha[0], -alpha[1], -alpha[2]))
-        point = TriadicPoint.from_digits(ds.n, (dig[i],) + fp.preperiod, fp.period)
+    for i, j, _, fc in sorted(graph.edges, key=lambda e: e[2]):
+        # K_i cap K_j = (F(d_i - d_j) + d_j)/n, and the edge carries F(d_i - d_j)
+        point = TriadicPoint.from_digits(ds.n, (dig[j],) + fc.point.preperiod, fc.point.period)
         pid = point_ids.setdefault(point, len(point_ids))
         edges.add((i, pid))
         edges.add((j, pid))

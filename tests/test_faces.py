@@ -14,13 +14,13 @@ from fracube.faces import (
     classify_face,
     face_point,
     offset_enc,
-    offset_index,
     tables_for_order,
 )
 from fracube.oracle import _label_edges
 from fracube.pipeline import enumerate_codes
 
 SEGMENT = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+OFFSET_OF = {offset_enc(v): v for v in OFFSETS}
 TABLE2_FIRST = "020_101_110_111_112_121_202"
 
 
@@ -31,6 +31,8 @@ def random_digitset(rng, n=3, size=7):
 def test_offset_encoding():
     assert len(OFFSETS) == 26
     assert len(set(OFFSETS)) == 26
+    assert sorted(OFFSET_OF) == [e for e in range(27) if e != 13]
+    assert all(offset_enc(tuple(-c for c in v)) == 26 - e for e, v in OFFSET_OF.items())
     with pytest.raises(OutOfRange):
         offset_enc((0, 0, 0))
     with pytest.raises(OutOfRange):
@@ -44,17 +46,17 @@ def test_edge_targets_never_zero():
         tables = tables_for_order(n)
         for pair, entries in enumerate(tables.pair_edges):
             a, b = divmod(pair, tables.ncells)
-            for u_idx, bit in entries:
-                assert bit & (bit - 1) == 0 and bit < 1 << 26
-                w = tuple(n * OFFSETS[u_idx][k] + tables.coords[b][k] - tables.coords[a][k]
+            for u_enc, bit in entries:
+                assert bit & (bit - 1) == 0 and bit.bit_length() - 1 in OFFSET_OF
+                w = tuple(n * OFFSET_OF[u_enc][k] + tables.coords[b][k] - tables.coords[a][k]
                           for k in range(3))
-                assert w == OFFSETS[bit.bit_length() - 1] != (0, 0, 0)
+                assert w == OFFSET_OF[bit.bit_length() - 1]
 
 
 def test_segment_automaton_self_loop():
     ds = DigitSet.from_digits(SEGMENT)
     tables = tables_for_order(3)
-    up = offset_index((0, 0, 1))
+    up = offset_enc((0, 0, 1))
     top, bottom = cell_index((0, 0, 2), 3), cell_index((0, 0, 0), 3)
     assert (up, 1 << up) in tables.pair_edges[top * tables.ncells + bottom]
     live, edges = build_automaton(ds)
@@ -64,13 +66,13 @@ def test_segment_automaton_self_loop():
 
 def test_full_cube_all_live():
     live, _ = build_automaton(DigitSet.from_code((1 << 27) - 1))
-    assert live == (1 << 26) - 1
+    assert live == sum(1 << e for e in OFFSET_OF)
 
 
 def test_two_corner_automaton():
     # only delta = (-2,-2,-2) keeps 3*(1,1,1) + delta inside the offset set
     ds = DigitSet.from_digits([(0, 0, 0), (2, 2, 2)])
-    diag = offset_index((1, 1, 1))
+    diag = offset_enc((1, 1, 1))
     succ = _successors(ds.cells(), tables_for_order(3))
     assert succ[diag] == 1 << diag
     live, edges = build_automaton(ds)
@@ -122,8 +124,10 @@ def test_pair_table_successors_match_edge_targets():
     # edge relation rebuilt from its definition
     for ds in _kernel_sets():
         relation = _edge_relation(ds)
-        assert _successors(ds.cells(), tables_for_order(ds.n)) == [
-            sum({1 << offset_index(w) for w, _ in relation[u]}) for u in OFFSETS]
+        expected = [0] * 27
+        for u in OFFSETS:
+            expected[offset_enc(u)] = sum({1 << offset_enc(w) for w, _ in relation[u]})
+        assert _successors(ds.cells(), tables_for_order(ds.n)) == expected
 
 
 def test_edges_enumerated_exhaustively():
@@ -136,10 +140,10 @@ def test_edges_enumerated_exhaustively():
         while pruned := {u for u in alive if not any(w in alive for w, _ in relation[u])}:
             alive -= pruned
         live, edges = build_automaton(ds)
-        assert live == sum(1 << offset_index(u) for u in alive)
+        assert live == sum(1 << offset_enc(u) for u in alive)
         for u in OFFSETS:
-            assert edges[offset_index(u)] == [
-                (offset_index(w), cell_index(d, ds.n)) for w, d in relation[u] if w in alive]
+            assert edges[offset_enc(u)] == [
+                (offset_enc(w), cell_index(d, ds.n)) for w, d in relation[u] if w in alive]
 
 
 def test_segment_face_classification():
@@ -236,7 +240,7 @@ def test_point_extraction_is_path_independent():
     sets += [random_digitset(rng) for _ in range(10)]
     for ds in sets:
         live_mask, _ = build_automaton(ds)
-        live = {v for v in OFFSETS if live_mask >> offset_index(v) & 1}
+        live = {v for v in OFFSETS if live_mask >> offset_enc(v) & 1}
         label_edges = _label_edges(ds)
         for alpha in OFFSETS:
             fc = classify_face(ds, alpha)

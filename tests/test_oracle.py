@@ -135,10 +135,11 @@ def test_label_relation_built_once_per_digit_set(monkeypatch):
         assert builds.count(ds) == 1, ds
 
 
-def test_depth_too_small():
+def test_depth_too_small(monkeypatch):
     from fracube.errors import DepthTooSmall
+    monkeypatch.setattr(oracle, "STABILIZATION_CAP", 1)
     with pytest.raises(DepthTooSmall):
-        oracle_face_cardinality(TABLE2_FIRST, (0, 0, 1), depth=1)
+        oracle_face_cardinality(TABLE2_FIRST, (0, 0, 1))
 
 
 def test_export_cells_format():

@@ -17,7 +17,6 @@ from fracube.pipeline import (
     render_markdown,
     verify_against_tables,
 )
-from fracube.pipeline import _unrank_combination
 
 
 def test_enumeration_counts_small():
@@ -32,12 +31,6 @@ def test_enumeration_is_ascending_and_complete():
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
     assert all(c.bit_count() == 3 for c in codes)
-
-
-def test_unranking_matches_stream_order():
-    codes = list(enumerate_codes(3, 4))
-    for rank in (0, 1, 7, 500, len(codes) - 1):
-        assert _unrank_combination(rank, 4) == codes[rank]
 
 
 def test_enumerate_all_yields_digitsets_in_order():
@@ -159,29 +152,31 @@ def test_match_labels_conflict_and_unknown():
     assert labeled.labels() == {"cell": report.classes[0].graph_code}
 
 
-def _rank_combination(code: int) -> int:
-    """Inverse of _unrank_combination: the colex rank of a code."""
-    rank, i, rest = 0, 0, code
-    while rest:
-        low = rest & -rest
-        i += 1
-        rank += comb(low.bit_length() - 1, i)
-        rest ^= low
-    return rank
+def _walk(code: int, steps: int) -> int:
+    """The code ``steps`` places after ``code`` in the scan's order."""
+    from fracube.pipeline import _next_code
+    for _ in range(steps):
+        code = _next_code(code)
+    return code
 
 
 def test_scan_agrees_with_public_filters():
     # the tuned scan must reproduce is_connected + has_one_point_property on
     # every orbit minimum, with canonical_form's orbit size
-    from fracube.pipeline import _scan_chunk, _next_code
+    from fracube.pipeline import _scan_chunk
     from fracube.topology import has_one_point_property, is_connected
     from fracube.core import canonical_code, canonical_form
     import random
     rng = random.Random(71)
-    starts = [rng.randrange(0, comb(27, 7) - 600) for _ in range(4)]
+    # random 7-cell codes below the last cell, so that each window fits
+    starts = [sum(1 << c for c in rng.sample(range(26), 7)) for _ in range(4)]
     # windows that start at survivor representatives, so that some expectation is not empty
-    starts += [_rank_combination(canonical_code(parse_digitset(text).code, 3))
-               for _, text in bundled_labels()[::40]]
+    starts += [canonical_code(parse_digitset(text).code, 3) for _, text in bundled_labels()[::40]]
+    # windows that cross from one highest cell to the next, five codes in
+    for h in (8, 14, 20):
+        start = _walk(0x3f | 1 << h, comb(h, 6) - 5)
+        assert _walk(start, 5) == 0x3f | 1 << h + 1
+        starts.append(start)
     verdicts: dict[int, bool] = {}
 
     def verdict(code):
@@ -195,14 +190,14 @@ def test_scan_agrees_with_public_filters():
         survivors, count = _scan_chunk((3, 7, start, 600))
         assert count == 600
         expected: dict[int, int] = {}
-        code = _unrank_combination(start, 7)
+        code = start
         for _ in range(600):
             canon = canonical_code(code, 3)
             # the filters are invariant under the cube group
             assert verdict(code) == verdict(canon)
             if canon == code and verdict(code):
                 expected[code] = canonical_form(DigitSet.from_code(code)).orbit_size
-            code = _next_code(code)
+            code = _walk(code, 1)
         assert survivors == expected
         nonempty += bool(expected)
     assert nonempty >= 3
@@ -215,7 +210,7 @@ def test_orbit_representatives_partition_codes():
     sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 5)] + [(4, 1), (4, 2), (5, 1), (5, 2)]
     for n, N in sizes:
         total = comb(n ** 3, N)
-        reps = dict(_orbit_representatives(n, N, 0, total))
+        reps = dict(_orbit_representatives(n, N, (1 << N) - 1, total))
         assert set(reps) == {canonical_code(c, n) for c in enumerate_codes(n, N)}, (n, N)
         for code, size in reps.items():
             assert size == canonical_form(DigitSet.from_code(code, n=n)).orbit_size, (n, N, code)
