@@ -39,6 +39,11 @@ def digit_from_cell(c: int, n: int) -> Digit:
     return Digit(c % n, (c // n) % n, c // (n * n))
 
 
+@lru_cache(maxsize=8)
+def _cell_digits(n: int) -> tuple[Digit, ...]:
+    return tuple(digit_from_cell(c, n) for c in range(n ** 3))
+
+
 def _check_order(n: int) -> None:
     if not MIN_ORDER <= n <= MAX_ORDER:
         raise OutOfRange(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {n}")
@@ -77,7 +82,8 @@ class DigitSet:
         _check_order(n)
         if code <= 0 or code >> n ** 3:
             raise OutOfRange(f"occupancy code {code:#x} invalid for order {n}")
-        digits = tuple(digit_from_cell(c, n) for c in range(n ** 3) if code >> c & 1)
+        table = _cell_digits(n)
+        digits = tuple(table[c] for c in range(code.bit_length()) if code >> c & 1)
         return cls(n=n, digits=digits, code=code)
 
     def __len__(self) -> int:

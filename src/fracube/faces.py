@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .core import Digit, DigitSet, digit_from_cell
+from .core import Digit, DigitSet, _cell_digits
 from .errors import NotSingleton, OutOfRange
 
 Triple = tuple[int, int, int]
@@ -53,7 +53,7 @@ class _Tables:
         self.n = n
         ncells = n ** 3
         self.ncells = ncells
-        self.coords = [digit_from_cell(c, n) for c in range(ncells)]
+        self.coords = _cell_digits(n)
         d = 2 * n - 1
         self.d3 = d ** 3
 

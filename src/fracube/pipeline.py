@@ -37,7 +37,6 @@ from .core import (
     _check_order,
     canonical_code,
     canonical_form,
-    digit_from_cell,
     parse_digitset,
 )
 from .errors import (
@@ -58,6 +57,8 @@ from .faces import (
 )
 from .topology import (
     GraphCode,
+    _connected,
+    _piece_pairs,
     graph_code,
     has_one_point_property,
     intersection_graph,
@@ -96,28 +97,8 @@ def _check_size(n: int, N: int) -> None:
 def enumerate_all(n: int = 3, N: int = 7) -> Iterator[DigitSet]:
     """Every N-piece digit set of order n, in increasing occupancy-code order."""
     _check_size(n, N)
-    table = [digit_from_cell(c, n) for c in range(n ** 3)]
     for code in enumerate_codes(n, N):
-        digits = []
-        rest = code
-        while rest:
-            low = rest & -rest
-            digits.append(table[low.bit_length() - 1])
-            rest ^= low
-        yield DigitSet(n=n, digits=tuple(digits), code=code)
-
-
-def _component(adj: list[int]) -> int:
-    """Bitmask of the vertices reachable from vertex 0 (adjacency bitmasks)."""
-    comp = frontier = 1
-    while frontier:
-        nxt = 0
-        for b in range(len(adj)):
-            if frontier >> b & 1:
-                nxt |= adj[b]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
+        yield DigitSet.from_code(code, n)
 
 
 # Codes are read in slices of this many bits, one lookup table per slice.
@@ -153,7 +134,7 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int]]], int, int]:
     return slices, ones, ones << ncells
 
 
-def _orbit_representatives(n: int, N: int, first: int, count: int) -> Iterator[tuple[int, int]]:
+def _orbit_representatives(n: int, first: int, count: int) -> Iterator[tuple[int, int]]:
     """The ``count`` codes from ``first`` on that are minimal in their orbit.
 
     Yields ``(code, orbit size)`` for each code that no element of
@@ -187,22 +168,19 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     """Filter the orbit-minimal codes of ``count`` codes from ``first`` on.
 
     Returns ``({code: orbit size}, codes walked)`` for the surviving
-    orbit minima.  Works on raw occupancy codes for speed: potential
+    orbit minima; each code's own cells are its pieces.  Potential
     adjacency first, then automaton liveness for exact connectivity, then
     the product search for the one-point property.  The last two are the
     kernel behind :func:`fracube.faces.classify_face`.  All three are
     invariant under the cube group, so a minimum's verdict holds for its
     whole orbit.
     """
-    n, N, first, count = args
+    n, _, first, count = args
     tables = tables_for_order(n)
-    ncells = tables.ncells
-    pair_off = tables.pair_off
     scc_live = _scc_live
-    full = (1 << N) - 1
 
     survivors: dict[int, int] = {}
-    for this, orbit_size in _orbit_representatives(n, N, first, count):
+    for this, orbit_size in _orbit_representatives(n, first, count):
         cells = []
         rest = this
         while rest:
@@ -211,35 +189,19 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
             rest ^= low
 
         # potential adjacency: digit differences inside {-1,0,1}^3
-        adj = [0] * N
-        pairs = []
-        for i in range(1, N):
-            ci = cells[i] * ncells
-            for j in range(i):
-                off = pair_off[ci + cells[j]]
-                if off != 255:
-                    pairs.append((i, j, off))
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        if _component(adj) != full:
+        pairs = _piece_pairs(cells, tables)
+        if not _connected(len(cells), pairs):
             continue
 
         # exact connectivity: keep only offsets whose face is nonempty
         live = scc_live(_successors(cells, tables))
-
-        adj = [0] * N
-        live_offs = set()
-        for i, j, off in pairs:
-            if live >> off & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-                live_offs.add(min(off, 26 - off))
-        if _component(adj) != full:
+        pairs = [p for p in pairs if live >> p[2] & 1]
+        if not _connected(len(cells), pairs):
             continue
 
         # one-point property: no live realized offset may carry two points
         edges = _live_edges(cells, live, tables)
-        if any(_escape_reachable(edges, alpha, tables) for alpha in live_offs):
+        if any(_escape_reachable(edges, off, tables) for off in {p[2] for p in pairs}):
             continue
 
         survivors[this] = orbit_size
@@ -405,7 +367,8 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     )
 
 
-def load_table_classes() -> tuple[tuple[str, str], ...]:
+@lru_cache(maxsize=1)
+def bundled_labels() -> tuple[tuple[str, str], ...]:
     """The bundled (label, digit string) rows transcribed from the tables."""
     data = resources.files("fracube.data").joinpath("table_classes.txt").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
@@ -418,11 +381,6 @@ def load_table_classes() -> tuple[tuple[str, str], ...]:
             label, digits = line.split()
             rows.append((label, digits))
     return tuple(rows)
-
-
-@lru_cache(maxsize=1)
-def bundled_labels() -> tuple[tuple[str, str], ...]:
-    return load_table_classes()
 
 
 @lru_cache(maxsize=1)

@@ -8,41 +8,44 @@ reduces to the face classification plus exact rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import DigitSet
 from .errors import Disconnected, InternalInconsistency, OnePointViolation
-from .faces import FaceClass, TriadicPoint, classify_face
+from .faces import FaceClass, TriadicPoint, build_automaton, classify_face, tables_for_order
 
 Triple = tuple[int, int, int]
 
 
-def _realized_offsets(ds: DigitSet) -> dict[Triple, list[tuple[int, int]]]:
-    """Map each offset d_i - d_j hit by a digit pair to its (i, j) pairs."""
-    out: dict[Triple, list[tuple[int, int]]] = {}
-    dig = ds.digits
-    for i, j in itertools.combinations(range(len(dig)), 2):
-        alpha = (dig[i][0] - dig[j][0], dig[i][1] - dig[j][1], dig[i][2] - dig[j][2])
-        if alpha != (0, 0, 0) and all(-1 <= c <= 1 for c in alpha):
-            out.setdefault(alpha, []).append((i, j))
-    return out
+def _piece_pairs(cells, tables) -> list[tuple[int, int, int]]:
+    """(i, j, code of d_i - d_j) for each pair i < j whose digits differ by an offset."""
+    pair_off, ncells = tables.pair_off, tables.ncells
+    return [(i, j, off) for i, ci in enumerate(cells) for j in range(i + 1, len(cells))
+            if (off := pair_off[ci * ncells + cells[j]]) != 255]
 
 
-def _bfs_connected(n_vertices: int, pairs) -> bool:
-    """Whether the graph on vertices 0..n_vertices-1 with these edges is connected."""
-    adj: list[list[int]] = [[] for _ in range(n_vertices)]
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    todo = [0]
-    while todo:
-        for w in adj[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return len(seen) == n_vertices
+def _component(adj: list[int]) -> int:
+    """Bitmask of the vertices reachable from vertex 0 (adjacency bitmasks)."""
+    comp = frontier = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
+def _connected(n_vertices: int, edges) -> bool:
+    """Whether vertices 0..n_vertices-1 are connected; each edge starts with its ends."""
+    adj = [0] * n_vertices
+    for e in edges:
+        a, b = e[0], e[1]
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return _component(adj) == (1 << n_vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class PieceGraph:
         return [(i, j) for i, j, _, _ in self.edges]
 
     def is_connected_graph(self) -> bool:
-        return _bfs_connected(self.n_vertices, self.edge_pairs())
+        return _connected(self.n_vertices, self.edges)
 
     def is_tree(self) -> bool:
         return self.is_connected_graph() and len(self.edges) == self.n_vertices - 1
@@ -69,20 +72,24 @@ def piece_adjacency(ds: DigitSet) -> PieceGraph:
     Every piece-level question below (connectivity, one-point property,
     both intersection graphs) is read off this one graph.
     """
+    dig = ds.digits
     edges = []
-    for alpha, pairs in sorted(_realized_offsets(ds).items()):
+    for i, j, _ in _piece_pairs(ds.cells(), tables_for_order(ds.n)):
+        alpha = (dig[i][0] - dig[j][0], dig[i][1] - dig[j][1], dig[i][2] - dig[j][2])
         fc = classify_face(ds, alpha)
-        if fc.is_empty:
-            continue
-        for i, j in pairs:
+        if not fc.is_empty:
             edges.append((i, j, alpha, fc))
-    edges.sort(key=lambda e: (e[0], e[1]))
     return PieceGraph(digitset=ds, n_vertices=len(ds), edges=tuple(edges))
 
 
 def is_connected(ds: DigitSet) -> bool:
-    """Hata criterion: the attractor is connected iff the piece graph is."""
-    return piece_adjacency(ds).is_connected_graph()
+    """Hata criterion: the attractor is connected iff the piece graph is.
+
+    Pieces i and j meet iff d_i - d_j is live (has a nonempty face).
+    """
+    live, _ = build_automaton(ds)
+    pairs = _piece_pairs(ds.cells(), tables_for_order(ds.n))
+    return _connected(len(ds), [p for p in pairs if live >> p[2] & 1])
 
 
 def has_one_point_property(ds: DigitSet) -> bool:
@@ -115,7 +122,7 @@ class BipartiteGraph:
 
     def is_tree(self) -> bool:
         n_vertices = self.n_pieces + len(self.points)
-        return len(self.edges) == n_vertices - 1 and _bfs_connected(
+        return len(self.edges) == n_vertices - 1 and _connected(
             n_vertices, ((piece, self.n_pieces + point) for piece, point in self.edges))
 
 

@@ -135,8 +135,12 @@ def test_table_checksum_guard(monkeypatch):
     import fracube.pipeline as pl
     from fracube.errors import DataIntegrityError
     monkeypatch.setattr(pl, "TABLE_DATA_SHA256", "0" * 64)
-    with pytest.raises(DataIntegrityError):
-        pl.load_table_classes()
+    pl.bundled_labels.cache_clear()
+    try:
+        with pytest.raises(DataIntegrityError):
+            pl.bundled_labels()
+    finally:
+        pl.bundled_labels.cache_clear()
 
 
 def test_match_labels_conflict_and_unknown():
@@ -210,7 +214,7 @@ def test_orbit_representatives_partition_codes():
     sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 5)] + [(4, 1), (4, 2), (5, 1), (5, 2)]
     for n, N in sizes:
         total = comb(n ** 3, N)
-        reps = dict(_orbit_representatives(n, N, (1 << N) - 1, total))
+        reps = dict(_orbit_representatives(n, (1 << N) - 1, total))
         assert set(reps) == {canonical_code(c, n) for c in enumerate_codes(n, N)}, (n, N)
         for code, size in reps.items():
             assert size == canonical_form(DigitSet.from_code(code, n=n)).orbit_size, (n, N, code)

@@ -6,11 +6,12 @@ import pytest
 
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
 from fracube.errors import Disconnected, OnePointViolation
-from fracube.faces import face_point
+from fracube.faces import classify_face, face_point, offset_enc, tables_for_order
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
 from fracube.pipeline import bundled_labels
 from fracube.topology import (
     GraphCode,
+    _piece_pairs,
     bipartite_graph,
     graph_code,
     graph_code_from_edges,
@@ -39,6 +40,33 @@ def brute_isomorphic(n, e1, e2):
         frozenset((min(p[i], p[j]), max(p[i], p[j])) for i, j in e1) == e2
         for p in itertools.permutations(range(n))
     )
+
+
+def test_piece_pairs_match_digit_differences():
+    # reference: every pair i < j whose digit difference is a nonzero offset
+    rng = random.Random(1207)
+    cases = [parse_digitset(text) for _, text in bundled_labels()]
+    for n in range(2, 6):
+        cases.append(DigitSet.from_code((1 << n ** 3) - 1, n=n))
+        for _ in range(20):
+            size = rng.randrange(1, min(n ** 3, 30) + 1)
+            cases.append(DigitSet.from_code(sum(1 << c for c in rng.sample(range(n ** 3), size)), n=n))
+    for ds in cases:
+        dig = ds.digits
+        expected = []
+        for i, j in itertools.combinations(range(len(dig)), 2):
+            alpha = tuple(dig[i][k] - dig[j][k] for k in range(3))
+            if any(alpha) and all(-1 <= c <= 1 for c in alpha):
+                expected.append((i, j, offset_enc(alpha)))
+        assert _piece_pairs(ds.cells(), tables_for_order(ds.n)) == expected, ds
+
+
+def test_is_connected_classifies_no_face():
+    # connectivity reads the live mask alone, so no product search runs
+    for _, text in bundled_labels()[::10]:
+        classify_face.cache_clear()
+        assert is_connected(parse_digitset(text))
+        assert classify_face.cache_info().misses == 0, text
 
 
 def test_corner_set_has_no_edges():
@@ -321,6 +349,7 @@ def test_public_filters_match_oracle_piece_graph():
                         todo.append(w)
             connected = len(reached) == len(dig)
             assert is_connected(ds) == connected, ds
+            assert is_connected(ds) == piece_adjacency(ds).is_connected_graph(), ds
             assert has_one_point_property(ds) == (not multi), ds
             if multi:
                 with pytest.raises(OnePointViolation):
