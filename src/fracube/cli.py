@@ -55,11 +55,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if one_point:
         graph = topology.intersection_graph(ds)
         doc["edges"] = [[i + 1, j + 1, "{},{},{}".format(*a)] for i, j, a, _ in graph.edges]
-        bg = topology.bipartite_graph(ds)
+        bg = topology._bipartite(graph)
         doc["points"] = [[str(c) for c in p.value] for p in bg.points]
         doc["no_triple_points"] = all(d == 2 for d in bg.point_degrees())
         if connected:
-            doc["dendrite"] = topology.is_dendrite(ds)
+            doc["dendrite"] = topology._dendrite(graph, bg)
             code = topology.graph_code(graph)
             doc["graph_code"] = code.hex
             if (args.order, len(ds)) == (3, 7):

@@ -57,13 +57,14 @@ from .faces import (
 )
 from .topology import (
     GraphCode,
+    _bipartite,
     _connected,
+    _dendrite,
     _piece_pairs,
     graph_code,
     has_one_point_property,
     intersection_graph,
     is_connected,
-    is_dendrite,
 )
 
 # classify_all refuses larger scans up front.  The largest order-3 problem,
@@ -304,27 +305,20 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     if processed != total:
         raise InternalInconsistency(f"scanned {processed} candidates, expected {total}")
 
-    groups: dict[int, list[int]] = {}
-    owner: dict[int, int] = {}
+    records = []
+    by_code: dict[GraphCode, list[bool]] = {}
+    owner: set[int] = set()
     for canon in sorted(merged):
         if canon in owner:
             continue
+        rep = DigitSet.from_code(canon, n=n)
         members = _translate_codes(canon, n) if translations else [canon]
         for m in members:
+            ds = DigitSet.from_code(m, n=n)
             if m not in merged or m in owner:
                 raise InternalInconsistency(
-                    f"translate {DigitSet.from_code(m, n=n)} of "
-                    f"{DigitSet.from_code(canon, n=n)} is not a survivor or lies in two classes"
-                )
-            owner[m] = canon
-        groups[canon] = members
-
-    records = []
-    survivors = 0
-    for canon, members in groups.items():
-        size = 0
-        for m in members:
-            ds = DigitSet.from_code(m, n=n)
+                    f"translate {ds} of {rep} is not a survivor or lies in two classes")
+            owner.add(m)
             cf = canonical_form(ds)
             if cf.canonical.code != m:
                 raise InternalInconsistency(f"representative {ds} is not canonical")
@@ -332,35 +326,30 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
                 raise InternalInconsistency(
                     f"orbit of {ds} has {cf.orbit_size} elements, the slice tables give {merged[m]}"
                 )
-            size += cf.orbit_size
-        survivors += size
-        rep = DigitSet.from_code(canon, n=n)
         graph = intersection_graph(rep)
-        records.append(ClassRecord(
+        rec = ClassRecord(
             canonical=rep,
-            orbit_size=size,
+            orbit_size=sum(merged[m] for m in members),
             graph_code=graph_code(graph),
-            dendrite=is_dendrite(rep),
+            dendrite=_dendrite(graph, _bipartite(graph)),
             edges=len(graph.edges),
             translates=tuple(DigitSet.from_code(m, n=n) for m in members[1:]),
-        ))
+        )
+        records.append(rec)
+        by_code.setdefault(rec.graph_code, []).append(rec.dendrite)
 
-    by_code: dict[GraphCode, list[ClassRecord]] = {}
-    for rec in records:
-        by_code.setdefault(rec.graph_code, []).append(rec)
     graph_types = []
-    for gc, members in by_code.items():
-        flags = {m.dendrite for m in members}
-        if len(flags) != 1:
+    for gc, verdicts in by_code.items():
+        if len(set(verdicts)) != 1:
             raise InternalInconsistency(f"graph code {gc} mixes dendrites and non-dendrites")
-        graph_types.append(GraphType(graph_code=gc, dendrite=flags.pop(), multiplicity=len(members)))
+        graph_types.append(GraphType(graph_code=gc, dendrite=verdicts[0], multiplicity=len(verdicts)))
     graph_types.sort(key=lambda t: (not t.dendrite, t.graph_code))
 
     return ClassificationReport(
         order=n,
         pieces=N,
         candidates=total,
-        survivors=survivors,
+        survivors=sum(r.orbit_size for r in records),
         classes=tuple(records),
         graph_types=tuple(graph_types),
         translations=translations,

@@ -159,17 +159,16 @@ def verify_no_triple_points(ds: DigitSet) -> bool:
     return all(d == 2 for d in bipartite_graph(ds).point_degrees())
 
 
-def is_dendrite(ds: DigitSet) -> bool:
-    """Dendrite test: the bipartite intersection graph is a tree.
+def _dendrite(graph: PieceGraph, bg: BipartiteGraph) -> bool:
+    """Dendrite test: ``bg``, the piece-point graph of ``graph``, is a tree.
 
     With no triple points this must agree with the simple-graph test
     (intersection graph connected with N-1 edges); both are computed and
     any disagreement aborts rather than returning a silent guess.
     """
-    graph = intersection_graph(ds)
+    ds = graph.digitset
     if not graph.is_connected_graph():
         raise Disconnected(f"{ds} is not connected")
-    bg = _bipartite(graph)
     verdict = bg.is_tree()
     if all(d == 2 for d in bg.point_degrees()):
         simple = graph.is_tree()
@@ -178,6 +177,12 @@ def is_dendrite(ds: DigitSet) -> bool:
                 f"bipartite tree test ({verdict}) and simple tree test ({simple}) disagree for {ds}"
             )
     return verdict
+
+
+def is_dendrite(ds: DigitSet) -> bool:
+    """Dendrite test: the bipartite intersection graph is a tree."""
+    graph = intersection_graph(ds)
+    return _dendrite(graph, _bipartite(graph))
 
 
 @dataclass(frozen=True, order=True)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -112,18 +113,24 @@ def _edge_relation(ds):
                     for d in ds.digits for dp in ds.digits)
     relation = {u: [] for u in OFFSETS}
     for _, _, d, dp in labels:
+        dx, dy, dz = dp[0] - d[0], dp[1] - d[1], dp[2] - d[2]
         for u in OFFSETS:
-            w = tuple(n * u[k] + dp[k] - d[k] for k in range(3))
+            w = (n * u[0] + dx, n * u[1] + dy, n * u[2] + dz)
             if w in offset_set:
                 relation[u].append((w, d))
     return relation
 
 
+@functools.cache
+def _kernel_references():
+    # (digit set, edge relation) for every kernel set, shared by the two tests below
+    return [(ds, _edge_relation(ds)) for ds in _kernel_sets()]
+
+
 def test_pair_table_successors_match_edge_targets():
     # successor masks from the digit-pair table against the targets of the
     # edge relation rebuilt from its definition
-    for ds in _kernel_sets():
-        relation = _edge_relation(ds)
+    for ds, relation in _kernel_references():
         expected = [0] * 27
         for u in OFFSETS:
             expected[offset_enc(u)] = sum({1 << offset_enc(w) for w, _ in relation[u]})
@@ -133,8 +140,7 @@ def test_pair_table_successors_match_edge_targets():
 def test_edges_enumerated_exhaustively():
     # the kernel's live offsets and live edges (target and first label, in
     # label order) against the edge relation rebuilt from its definition
-    for ds in _kernel_sets():
-        relation = _edge_relation(ds)
+    for ds, relation in _kernel_references():
         # live: the offsets left after pruning those with no live successor
         alive = {u for u in OFFSETS if relation[u]}
         while pruned := {u for u in alive if not any(w in alive for w, _ in relation[u])}:

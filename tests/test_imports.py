@@ -26,3 +26,31 @@ def test_no_unused_imports():
     assert len(modules) >= 8
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _private_top_level(tree: ast.Module) -> set[str]:
+    """Top-level ``_name`` functions, classes and assignments, dunders excepted."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_dead_private_helpers():
+    # a private helper must be read (as a name or an attribute) or imported somewhere in the package
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    defined = set().union(*map(_private_top_level, trees))
+    used = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+    assert "_bipartite" in defined
+    assert sorted(defined - used) == []

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from fracube.core import DigitSet, parse_digitset
-from fracube.errors import LabelConflict, UnknownCode
+from fracube.errors import InternalInconsistency, LabelConflict, UnknownCode
 from fracube.pipeline import (
     bundled_labels,
     classify_all,
@@ -118,6 +118,81 @@ def test_report_invariants_small():
     assert sum(t.multiplicity for t in report.graph_types) == len(report.classes)
     codes = [r.canonical.code for r in report.classes]
     assert codes == sorted(codes)
+
+
+def test_merge_checks_catch_a_corrupted_scan(monkeypatch):
+    import fracube.pipeline as pl
+    from fracube.core import CUBE_GROUP, apply_isometry
+    report = classify_all(3, 5)
+    translate = next(r for r in report.classes if r.translates).translates[0].code
+    rep = report.classes[0].canonical
+    image = next(c for g in CUBE_GROUP if (c := apply_isometry(g, rep).code) != rep.code)
+    cases = [
+        (True, lambda part, count: ({k: v for k, v in part.items() if k != translate}, count),
+         "is not a survivor"),
+        (True, lambda part, count: ({k: v + (k == rep.code) for k, v in part.items()}, count),
+         "the slice tables give"),
+        (False, lambda part, count: ({**part, image: 1} if rep.code in part else part, count),
+         "is not canonical"),
+        (True, lambda part, count: (part, count - 1), r"scanned \d+ candidates, expected 80730"),
+    ]
+    scan = pl._scan_chunk
+    for translations, corrupt, message in cases:
+        with monkeypatch.context() as m:
+            # pass every chunk result of the scan through corrupt(part, count)
+            m.setattr(pl, "_scan_chunk", lambda args, corrupt=corrupt: corrupt(*scan(args)))
+            with pytest.raises(InternalInconsistency, match=message):
+                classify_all(3, 5, translations=translations)
+
+
+def test_graph_type_check_catches_mixed_verdicts(monkeypatch):
+    import fracube.pipeline as pl
+    report = classify_all(3, 5)
+    shared = next(t.graph_code for t in report.graph_types if t.multiplicity > 1)
+    flip = next(r.canonical for r in report.classes if r.graph_code == shared)
+    dendrite = pl._dendrite
+    # flip the verdict of one class whose graph code other classes share
+    monkeypatch.setattr(pl, "_dendrite", lambda graph, bg: dendrite(graph, bg) != (graph.digitset == flip))
+    with pytest.raises(InternalInconsistency, match="mixes dendrites and non-dendrites"):
+        classify_all(3, 5)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Record the argument of every piece-graph and piece-point-graph build."""
+    from fracube import pipeline, topology
+    builds = {"piece_adjacency": [], "_bipartite": []}
+    for name, calls in builds.items():
+        def counted(arg, _build=getattr(topology, name), _calls=calls):
+            _calls.append(arg)
+            return _build(arg)
+        for module in (topology, pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return builds
+
+
+def test_classify_all_builds_each_graph_once_per_class(graph_builds):
+    for translations, classes in ((False, 24), (True, 18)):
+        report = classify_all(3, 5, translations=translations)
+        assert len(report.classes) == classes
+        assert [ds.code for ds in graph_builds["piece_adjacency"]] == \
+            [g.digitset.code for g in graph_builds["_bipartite"]] == \
+            [r.canonical.code for r in report.classes]
+        graph_builds["piece_adjacency"].clear()
+        graph_builds["_bipartite"].clear()
+
+
+def test_inspect_builds_the_piece_point_graph_once(graph_builds, capsys):
+    from fracube import cli
+    # a row that is not one of the labelled sets, whose piece graphs the label lookup builds
+    labelled = set(label_representatives())
+    text = next(row[1] for row in bundled_labels() if row not in labelled)
+    assert cli.main(["inspect", text]) == 0
+    assert "dendrite" in json.loads(capsys.readouterr().out)
+    ds = parse_digitset(text)
+    assert sum(g == ds for g in graph_builds["piece_adjacency"]) <= 2
+    assert [g.digitset for g in graph_builds["_bipartite"]] == [ds]
 
 
 def test_bundled_tables_load():
