@@ -13,7 +13,6 @@ Two deliberately separate routes re-derive face facts from first principles:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -42,18 +41,14 @@ class VoxelSet:
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _boundary_slabs(vox: VoxelSet) -> dict[tuple[int, int], frozenset[Triple]]:
-    """(axis, side) -> cells with that coordinate pinned to the grid boundary."""
+def _boundary_slabs(vox: VoxelSet) -> tuple[int, dict[tuple[int, int], frozenset[int]]]:
+    """Packing base b and (axis, side) -> the cells, packed as (x*b + y)*b + z,
+    with that coordinate pinned to the grid boundary."""
     edge = vox.digitset.n ** vox.depth - 1
-    slabs: dict[tuple[int, int], set[Triple]] = {
-        (axis, side): set() for axis in range(3) for side in (0, edge)}
-    for cell in vox.cells:
-        for axis in range(3):
-            if cell[axis] == 0:
-                slabs[axis, 0].add(cell)
-            elif cell[axis] == edge:
-                slabs[axis, edge].add(cell)
-    return {key: frozenset(val) for key, val in slabs.items()}
+    b = edge + 2
+    rim = [(c, (c[0] * b + c[1]) * b + c[2]) for c in vox.cells if 0 in c or edge in c]
+    return b, {(axis, side): frozenset([p for c, p in rim if c[axis] == side])
+               for axis in range(3) for side in (0, edge)}
 
 
 def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
@@ -65,11 +60,8 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     cells: Iterable[Triple] = [(0, 0, 0)]
     scale = 1
     for _ in range(depth):
-        cells = [
-            (x + scale * d[0], y + scale * d[1], z + scale * d[2])
-            for (x, y, z) in cells
-            for d in ds.digits
-        ]
+        steps = [(scale * d[0], scale * d[1], scale * d[2]) for d in ds.digits]
+        cells = [(x + dx, y + dy, z + dz) for (x, y, z) in cells for (dx, dy, dz) in steps]
         scale *= ds.n
     out = frozenset(cells)
     assert len(out) == len(ds) ** depth
@@ -88,7 +80,12 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     Closed cells c and c' of A_m and A_m + n^m*alpha can only intersect when
     c sits on the grid face pointed at by alpha and c' on the opposite one
     (the axis difference n^m*alpha_k +/- 1 forces c_k = 0, c'_k = n^m - 1),
-    so only boundary slabs are compared, within distance 1 on the free axes.
+    so only boundary slabs are compared, within distance 1 on the free axes:
+    near and far cells touch iff far = near + s for one of the 3^k shifts s
+    (k free axes), whose step is alpha_k*edge on a pinned axis and -1, 0 or
+    +1 on a free one, packed in base b.  Packing cannot carry: a coordinate
+    difference minus its step lies in [-(edge+1), edge+1] and edge + 1 < b.
+    (Too small a base could merge shifts: UNKNOWN, never a false certificate.)
     Pass ``vox`` to reuse a precomputed iterate of the same digit set.
     """
     offset_enc(alpha)  # validate
@@ -97,26 +94,14 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     elif vox.digitset != ds or vox.depth != depth:
         raise ValueError("precomputed voxel set does not match the request")
     edge = ds.n ** depth - 1
-    slabs = _boundary_slabs(vox)
-    free = [k for k in range(3) if alpha[k] == 0]
-    near: set[Triple] | frozenset[Triple] | None = None
-    far: set[Triple] | frozenset[Triple] | None = None
-    for k in range(3):
-        if alpha[k] == 0:
-            continue
-        near_slab = slabs[k, 0 if alpha[k] > 0 else edge]
-        far_slab = slabs[k, edge if alpha[k] > 0 else 0]
-        near = near_slab if near is None else near & near_slab
-        far = far_slab if far is None else far & far_slab
-    if not near or not far:
-        return EmptinessCheck.CERTIFIED_EMPTY
-    far_proj = {tuple(cell[k] for k in free) for cell in far}
-    deltas = list(itertools.product((-1, 0, 1), repeat=len(free)))
-    for cell in near:
-        proj = tuple(cell[k] for k in free)
-        for d in deltas:
-            if tuple(proj[k] + d[k] for k in range(len(free))) in far_proj:
-                return EmptinessCheck.UNKNOWN
+    b, slabs = _boundary_slabs(vox)
+    pinned = [k for k in range(3) if alpha[k]]
+    near = frozenset.intersection(*(slabs[k, 0 if alpha[k] > 0 else edge] for k in pinned))
+    far = frozenset.intersection(*(slabs[k, edge if alpha[k] > 0 else 0] for k in pinned))
+    steps = [(alpha[k] * edge,) if alpha[k] else (-1, 0, 1) for k in range(3)]
+    shifts = [(sx * b + sy) * b + sz for sx in steps[0] for sy in steps[1] for sz in steps[2]]
+    if near and far and any(not far.isdisjoint(map(s.__add__, near)) for s in shifts):
+        return EmptinessCheck.UNKNOWN
     return EmptinessCheck.CERTIFIED_EMPTY
 
 
@@ -127,17 +112,21 @@ class FaceCardinality(enum.Enum):
 
 
 def _label_edges(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
-    """offset -> [(first label d, target offset)] by direct enumeration."""
+    """offset -> [(first label d, target offset)] by direct enumeration.
+
+    u -> n*u + dp - d for every label pair; the first labels d are grouped by
+    the step dp - d, so each offset tests each distinct step once.
+    """
     n = ds.n
-    out: dict[Triple, list[tuple[Triple, Triple]]] = {u: [] for u in OFFSETS}
+    by_step: dict[Triple, list[Triple]] = {}
+    for d in ds.digits:
+        for dp in ds.digits:
+            by_step.setdefault((dp[0] - d[0], dp[1] - d[1], dp[2] - d[2]), []).append(tuple(d))
     offset_set = set(OFFSETS)
-    for u in OFFSETS:
-        for d in ds.digits:
-            for dp in ds.digits:
-                v = (n * u[0] + dp[0] - d[0], n * u[1] + dp[1] - d[1], n * u[2] + dp[2] - d[2])
-                if v in offset_set:
-                    out[u].append((tuple(d), v))
-    return out
+    return {u: [(d, v) for e, firsts in by_step.items()
+                if (v := (n * u[0] + e[0], n * u[1] + e[1], n * u[2] + e[2])) in offset_set
+                for d in firsts]
+            for u in OFFSETS}
 
 
 def _has_long_path(edges: dict[Triple, list[tuple[Triple, Triple]]], start: Triple, length: int) -> bool:

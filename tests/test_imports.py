@@ -54,3 +54,40 @@ def test_no_dead_private_helpers():
             used.update(a.name for a in node.names)
     assert "_bipartite" in defined
     assert sorted(defined - used) == []
+
+
+# the oracle re-derives faces by its own route; it may take from the kernel module
+# only the offset list and its validator, and the verdict it is compared with
+ORACLE_MAY_READ = {"OFFSETS", "offset_enc", "classify_face", "FaceKind"}
+
+
+def _faces_reads(tree: ast.Module) -> tuple[set[str], dict[str, set[str]]]:
+    """Names imported from ``faces``, and top-level definition -> ``faces`` names it reads."""
+    imported: dict[str, str] = {}
+    aliases: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "faces":
+            imported.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "faces")
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name.endswith(".faces") and a.asname)
+    reads: dict[str, set[str]] = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                name = node.attr
+            elif isinstance(node, ast.Name) and node.id in imported:
+                name = imported[node.id]
+            else:
+                continue
+            reads.setdefault(getattr(top, "name", "<module>"), set()).add(name)
+    return set(imported.values()), reads
+
+
+def test_oracle_reads_no_kernel_tables():
+    imported, reads = _faces_reads(ast.parse((SRC / "oracle.py").read_text()))
+    assert imported <= ORACLE_MAY_READ
+    assert set().union(*reads.values()) <= ORACLE_MAY_READ
+    assert {fn for fn, names in reads.items() if names & {"classify_face", "FaceKind"}} == {"faces_agree"}
+    assert "offset_enc" in reads["oracle_face_empty"] and "OFFSETS" in reads["_label_edges"]

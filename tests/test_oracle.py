@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -97,6 +98,83 @@ def test_oracle_agrees_for_other_orders():
     for ds in cases:
         for alpha in OFFSETS:
             assert faces_agree(ds, alpha), (ds, alpha)
+
+
+def _reference_face_empty(vox):
+    """alpha -> certified, by the tuple route: per-cell slab loop, then a scan of the 3^k deltas."""
+    edge = vox.digitset.n ** vox.depth - 1
+    slabs = {(axis, side): set() for axis in range(3) for side in (0, edge)}
+    for cell in vox.cells:
+        for axis in range(3):
+            if cell[axis] == 0:
+                slabs[axis, 0].add(cell)
+            elif cell[axis] == edge:
+                slabs[axis, edge].add(cell)
+    verdicts = {}
+    for alpha in OFFSETS:
+        free = [k for k in range(3) if alpha[k] == 0]
+        near = set.intersection(*(slabs[k, 0 if alpha[k] > 0 else edge] for k in range(3) if alpha[k]))
+        far = set.intersection(*(slabs[k, edge if alpha[k] > 0 else 0] for k in range(3) if alpha[k]))
+        far_proj = {tuple(cell[k] for k in free) for cell in far}
+        deltas = list(itertools.product((-1, 0, 1), repeat=len(free)))
+        verdicts[alpha] = not any(
+            tuple(cell[k] + d[i] for i, k in enumerate(free)) in far_proj for cell in near for d in deltas)
+    return verdicts
+
+
+def _oracle_corpus(seed, count):
+    """(digit set, depth): the table rows at depth 4, then seeded random sets of orders 2-4."""
+    rng = random.Random(seed)
+    cases = [(parse_digitset(text), 4) for _, text in bundled_labels()]
+    for _ in range(count):
+        n = rng.choice((2, 3, 4))
+        ds = random_digitset(rng, n=n, size=rng.randrange(2, min(n ** 3, 12) + 1))
+        cases.append((ds, rng.choice([m for m in range(1, 5) if len(ds) ** m <= 200_000])))
+    return cases
+
+
+def test_certificate_matches_the_tuple_reference():
+    cases = _oracle_corpus(53, 180)
+    # cells on both opposite boundaries of an axis, where a packed sum could carry
+    rng = random.Random(59)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            extra = rng.sample(range(1, n ** 3 - 1), rng.randrange(1, 6))
+            ds = DigitSet.from_code(1 | 1 << (n ** 3 - 1) | sum(1 << c for c in extra), n=n)
+            cases += [(ds, m) for m in range(1, 5) if len(ds) ** m <= 200_000]
+    disagree, certified = [], 0
+    for ds, depth in cases:
+        vox = voxelize(ds, depth)
+        for alpha, empty in _reference_face_empty(vox).items():
+            got = oracle_face_empty(ds, alpha, depth, vox=vox) is EmptinessCheck.CERTIFIED_EMPTY
+            certified += got
+            if got != empty:
+                disagree.append((ds, depth, alpha))
+    assert disagree == []
+    assert 0 < certified < 26 * len(cases)
+
+
+def _reference_label_edges(ds):
+    """The direct triple loop over offsets and label pairs."""
+    out = {u: [] for u in OFFSETS}
+    for u in OFFSETS:
+        for d in ds.digits:
+            for dp in ds.digits:
+                v = tuple(ds.n * u[k] + dp[k] - d[k] for k in range(3))
+                if v in out:
+                    out[u].append((tuple(d), v))
+    return out
+
+
+def test_label_edges_match_the_triple_loop():
+    # the same (d, v) multiset per offset; callers read it as a set, so order is free
+    rng = random.Random(61)
+    cases = [parse_digitset(text) for _, text in bundled_labels()]
+    cases += [random_digitset(rng, n=n, size=rng.randrange(2, min(n ** 3, 12) + 1))
+              for n in (2, 3, 4) for _ in range(50)]
+    for ds in cases:
+        edges, reference = oracle._label_edges(ds), _reference_label_edges(ds)
+        assert {u: sorted(edges[u]) for u in OFFSETS} == {u: sorted(reference[u]) for u in OFFSETS}, ds
 
 
 def test_certified_empty_implies_empty_class():
