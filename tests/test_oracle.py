@@ -122,19 +122,14 @@ def _reference_face_empty(vox):
     return verdicts
 
 
-def _oracle_corpus(seed, count):
-    """(digit set, depth): the table rows at depth 4, then seeded random sets of orders 2-4."""
-    rng = random.Random(seed)
+def test_certificate_matches_the_tuple_reference():
+    # the table rows at depth 4, then seeded random sets of orders 2-4 at depths 1-4
+    rng = random.Random(53)
     cases = [(parse_digitset(text), 4) for _, text in bundled_labels()]
-    for _ in range(count):
+    for _ in range(180):
         n = rng.choice((2, 3, 4))
         ds = random_digitset(rng, n=n, size=rng.randrange(2, min(n ** 3, 12) + 1))
         cases.append((ds, rng.choice([m for m in range(1, 5) if len(ds) ** m <= 200_000])))
-    return cases
-
-
-def test_certificate_matches_the_tuple_reference():
-    cases = _oracle_corpus(53, 180)
     # cells on both opposite boundaries of an axis, where a packed sum could carry
     rng = random.Random(59)
     for n in (2, 3, 4):
