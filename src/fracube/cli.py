@@ -63,7 +63,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             code = topology.graph_code(graph)
             doc["graph_code"] = code.hex
             if (args.order, len(ds)) == (3, 7):
-                label = pipeline._label_table().get(code)
+                label = pipeline.label_codes(pipeline.label_representatives()).get(code)
                 if label is not None:
                     doc["label"] = label
     if args.format == "md":

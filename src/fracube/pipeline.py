@@ -393,12 +393,6 @@ def label_codes(labels: tuple[tuple[str, str], ...], n: int = 3) -> dict[GraphCo
     return code_label
 
 
-@lru_cache(maxsize=1)
-def _label_table() -> dict[GraphCode, str]:
-    """``label_codes`` of the 12 label representatives, built once per process."""
-    return label_codes(label_representatives())
-
-
 def match_labels(report: ClassificationReport,
                  labels: tuple[tuple[str, str], ...]) -> ClassificationReport:
     """Attach graph-type labels to the report via labelled digit sets."""

@@ -90,4 +90,3 @@ def test_oracle_reads_no_kernel_tables():
     assert imported <= ORACLE_MAY_READ
     assert set().union(*reads.values()) <= ORACLE_MAY_READ
     assert {fn for fn, names in reads.items() if names & {"classify_face", "FaceKind"}} == {"faces_agree"}
-    assert "offset_enc" in reads["oracle_face_empty"] and "OFFSETS" in reads["_label_edges"]

@@ -195,21 +195,6 @@ def test_inspect_builds_the_piece_point_graph_once(graph_builds, capsys):
     assert [g.digitset for g in graph_builds["_bipartite"]] == [ds]
 
 
-def test_inspect_builds_the_label_graphs_once_per_process(graph_builds, capsys):
-    from fracube import cli, pipeline
-    pipeline._label_table.cache_clear()
-    labelled = {parse_digitset(text) for _, text in label_representatives()}
-    text = next(row[1] for row in bundled_labels() if parse_digitset(row[1]) not in labelled)
-    assert cli.main(["inspect", text]) == 0
-    first = capsys.readouterr().out
-    assert "label" in json.loads(first)
-    assert labelled <= set(graph_builds["piece_adjacency"])
-    graph_builds["piece_adjacency"].clear()
-    assert cli.main(["inspect", text]) == 0
-    assert capsys.readouterr().out == first
-    assert graph_builds["piece_adjacency"] and not labelled & set(graph_builds["piece_adjacency"])
-
-
 def test_bundled_tables_load():
     rows = bundled_labels()
     assert len(rows) == 105
