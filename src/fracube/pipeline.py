@@ -1,18 +1,20 @@
 """Full enumeration and classification of order-n fractal cubes.
 
-The scan walks every N-subset of the n^3 cells in increasing occupancy-code
-order (Gosper iteration), in one chunk per highest occupied cell, and
-filters only the codes that are minimal in their orbit under the 48 cube
-symmetries (isomorph rejection, after Read 1978 and McKay 1998).  The
-filters are invariant under the cube group, so each orbit is decided once
-by its minimum.  A code's images under all 47 non-identity symmetries come
-at once from per-slice lookup tables, which also give the orbit size.  The
-minimal codes are filtered by connectivity and then by the one-point
-intersection property.  Orbits whose digit sets are translates of each
-other inside the grid have translated attractors, so by default they are
-merged into one isometry class.  Workers own disjoint chunks and
-return mergeable partial results, so the resulting report is
-byte-identical for any worker count.
+The scan covers the N-subsets of the n^3 cells in increasing occupancy-code
+order (Gosper order), in one chunk per highest occupied cell, and filters
+only the codes that are minimal in their orbit under the 48 cube symmetries
+(isomorph rejection, after Read 1978 and McKay 1998).  The filters are
+invariant under the cube group, so each orbit is decided once by its
+minimum.  A code's images under all 47 non-identity symmetries come at once
+from per-slice lookup tables, which also give the orbit size.  The walk
+tests the high slices first: when a symmetry that maps the cells below a
+slice boundary onto themselves already maps the code's high part to a
+smaller one, every code with that high part is skipped unseen.  The minimal codes
+are filtered by connectivity and then by the one-point intersection
+property.  Orbits whose digit sets are translates of each other inside the
+grid have translated attractors, so by default they are merged into one
+isometry class.  Workers own disjoint chunks and return mergeable partial
+results, so the resulting report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ _SLICE_MASK = (1 << _SLICE_BITS) - 1
 
 
 @lru_cache(maxsize=4)
-def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int]]], int, int]:
+def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[list[tuple[int, int]]],
+                                   int, int]:
     """Per-slice lookup tables of a code's images under the cube group.
 
     Packed values have one field of ``n**3 + 1`` bits for each non-identity
@@ -117,58 +120,107 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int]]], int, int]:
     ``part`` is the code of the slice's cells in ``v``.  A code's images
     are the OR of its slices' images, so the guard bits (the top bit of
     every field) plus one entry per slice give ``2**n**3 + g(code) - code``
-    in field ``g``, which never leaves its field.  Returns ``(slices, ones,
-    guards)``: each slice's lowest cell and table, the packed value with 1
-    in every field, and the guard bits.
+    in field ``g``, which never leaves its field; the same holds for the
+    entries of any set of slices, with ``g(part) - part`` of their cells.
+
+    Returns ``(levels, lows, ones, guards)``.  ``levels`` holds, from the
+    highest slice down to the second lowest, each slice's lowest cell
+    ``lo``, its table and its stable mask: the guard bits of the elements
+    that map the cells ``0..lo-1`` onto themselves (0 where there are
+    none).  ``lows[r]`` lists the lowest slice's values with ``r`` cells in
+    increasing order, each with its table entry, so a value's position is
+    its colex rank.  ``ones`` is the packed value with 1 in every field.
     """
     ncells = n ** 3
     width = ncells + 1
     perms = _cell_permutations(n)[1:]
     ones = sum(1 << width * g for g in range(len(perms)))
-    slices = []
+    levels = []
     for lo in range(0, ncells, _SLICE_BITS):
         table = [0]
         for c in range(lo, min(lo + _SLICE_BITS, ncells)):
             cell = sum(1 << width * g + perm[c] for g, perm in enumerate(perms)) - (ones << c)
             table += [entry + cell for entry in table]
-        slices.append((lo, table))
-    return slices, ones, ones << ncells
+        # a permutation maps the cells below lo onto themselves iff it maps them below lo
+        stable = sum(1 << width * g + ncells for g, perm in enumerate(perms)
+                     if max(perm[:lo], default=lo) < lo)
+        levels.append((lo, table, stable))
+    (_, low_table, _), *levels = levels
+    lows: list[list[tuple[int, int]]] = [[] for _ in range(len(low_table).bit_length())]
+    for v, entry in enumerate(low_table):
+        lows[v.bit_count()].append((v, entry))
+    return levels[::-1], lows, ones, ones << ncells
+
+
+def _colex_rank(code: int) -> int:
+    """Position of ``code`` among the codes of its popcount in increasing order."""
+    rank = i = 0
+    while code:
+        low = code & -code
+        i += 1
+        rank += comb(low.bit_length() - 1, i)
+        code ^= low
+    return rank
 
 
 def _orbit_representatives(n: int, first: int, count: int) -> Iterator[tuple[int, int]]:
     """The ``count`` codes from ``first`` on that are minimal in their orbit.
 
-    Yields ``(code, orbit size)`` for each code that no element of
-    ``CUBE_GROUP`` maps to a smaller code.  In the packed sum described in
-    :func:`_orbit_tables`, field ``g`` keeps its guard bit iff ``g(code) >=
-    code`` and holds the guard alone iff ``g`` fixes the code.  Consecutive
-    codes with the same high slices share the lookups of those slices.
+    Walks the codes with ``first``'s popcount in increasing order (the
+    order of :func:`_next_code`) and yields ``(code, orbit size)`` for each
+    code that no element of ``CUBE_GROUP`` maps to a smaller code.  In the
+    packed sum described in :func:`_orbit_tables`, field ``g`` keeps its
+    guard bit iff ``g(code) >= code`` and holds the guard alone iff ``g``
+    fixes the code.
+
+    The codes that share their bits at and above a slice boundary ``lo``
+    follow one another, and most of them are rejected together.  Write a
+    code as ``H + L`` with ``L < 2**lo``.  An element ``g`` that maps the
+    cells below ``lo`` onto themselves gives ``g(code) - code = (g(H) - H) +
+    (g(L) - L)``, where ``g(H) - H`` is a multiple of ``2**lo`` and
+    ``|g(L) - L| < 2**lo``.  So once the sum of the slices at and above
+    ``lo`` clears the guard of such a ``g``, ``g(H) < H`` and no code with
+    this ``H`` is minimal: the walk jumps past all of them, and counts
+    them by the colex rank of the ``L`` it leaves at.  In a high part that
+    survives, the lowest slice's values with the needed popcount come
+    from the ascending list ``lows``.
     """
-    slices, ones, guards = _orbit_tables(n)
-    (_, low_table), *high_slices = slices
+    levels, lows, ones, guards = _orbit_tables(n)
+    low_bits = len(lows) - 1
+    low_mask = (1 << low_bits) - 1
+    size = len(CUBE_GROUP)
     code = first
-    high = upper = -1
-    for _ in range(count):
-        this = code
-        code = _next_code(code)
-        if this >> _SLICE_BITS != high:
-            high = this >> _SLICE_BITS
-            upper = guards
-            for lo, table in high_slices:
-                if part := this >> lo & _SLICE_MASK:
-                    upper += table[part]
-        diff = upper + low_table[this & _SLICE_MASK]
-        if diff & guards != guards:
+    while count > 0:
+        upper = guards
+        for lo, table, stable in levels:
+            upper += table[code >> lo & _SLICE_MASK]
+            if upper & stable != stable:
+                break
+        else:
+            low = code & low_mask
+            block = lows[low.bit_count()]
+            start = _colex_rank(low)
+            for v, entry in block[start:start + count]:
+                diff = upper + entry
+                if diff & guards != guards:
+                    continue
+                # subtracting 1 clears the guard of exactly the fields that hold it alone
+                fixed = size - ((diff - ones) & guards).bit_count()
+                yield code ^ low | v, size // fixed
+            count -= len(block) - start
+            code = _next_code(code ^ low | block[-1][0])
             continue
-        # subtracting 1 clears the guard of exactly the fields that hold it alone
-        fixed = len(CUBE_GROUP) - ((diff - ones) & guards).bit_count()
-        yield this, len(CUBE_GROUP) // fixed
+        # no code that shares the bits at and above lo is minimal
+        low = code & (1 << lo) - 1
+        r = low.bit_count()
+        count -= comb(lo, r) - _colex_rank(low)
+        code = _next_code(code ^ low | ((1 << r) - 1) << lo - r)
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     """Filter the orbit-minimal codes of ``count`` codes from ``first`` on.
 
-    Returns ``({code: orbit size}, codes walked)`` for the surviving
+    Returns ``({code: orbit size}, codes covered)`` for the surviving
     orbit minima; each code's own cells are its pieces.  Potential
     adjacency first, then automaton liveness for exact connectivity, then
     the product search for the one-point property.  The last two are the

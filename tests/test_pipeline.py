@@ -296,6 +296,81 @@ def test_orbit_representatives_partition_codes():
         assert sum(reps.values()) == total, (n, N)
 
 
+def _reference_orbit_representatives(n: int, first: int, count: int):
+    """The per-code walk: one Gosper step and one packed sum for every code."""
+    from fracube.core import CUBE_GROUP
+    from fracube.pipeline import _SLICE_MASK, _next_code, _orbit_tables
+    levels, lows, ones, guards = _orbit_tables(n)
+    low_table = dict(pair for block in lows for pair in block)
+    low_mask = (1 << len(lows) - 1) - 1
+    size = len(CUBE_GROUP)
+    code = first
+    for _ in range(count):
+        diff = guards + low_table[code & low_mask]
+        diff += sum(table[code >> lo & _SLICE_MASK] for lo, table, _ in levels)
+        if diff & guards == guards:
+            yield code, size // (size - ((diff - ones) & guards).bit_count())
+        code = _next_code(code)
+
+
+def _rejected_level(n: int, code: int) -> int:
+    """The highest slice boundary whose high part the pruned walk rejects, or 0."""
+    from fracube.pipeline import _SLICE_MASK, _orbit_tables
+    levels, _, _, guards = _orbit_tables(n)
+    upper = guards
+    for lo, table, stable in levels:
+        upper += table[code >> lo & _SLICE_MASK]
+        if upper & stable != stable:
+            return lo
+    return 0
+
+
+def test_pruned_walk_matches_the_per_code_walk():
+    # same (code, orbit size) pairs in the same order as the walk that tests every code
+    import random
+    from fracube.pipeline import _colex_rank, _next_code, _orbit_representatives
+
+    def same(n, first, count):
+        got = list(_orbit_representatives(n, first, count))
+        assert got == list(_reference_orbit_representatives(n, first, count)), (n, first, count)
+        return got
+
+    def chunks(n, N):
+        low = (1 << N - 1) - 1
+        return [(low | 1 << h, comb(h, N - 1)) for h in range(N - 1, n ** 3)]
+
+    # every chunk that classify_all hands to _scan_chunk
+    sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in (*range(1, 7), *range(22, 28))]
+    sizes += [(4, N) for N in range(1, 4)]
+    for n, N in sizes:
+        found = [pair for first, count in chunks(n, N) for pair in same(n, first, count)]
+        assert sum(size for _, size in found) == comb(n ** 3, N), (n, N)
+    # the 6-cell window that the benchmark's self-test scans as a (3, 5) chunk
+    assert same(3, 1000, 3000)
+
+    # windows that start and end inside a rejected high part, away from its first code
+    def inside(code):
+        lo = _rejected_level(3, code)
+        return lo and _colex_rank(code & (1 << lo) - 1) > 0
+
+    rng = random.Random(113)
+    windows = 0
+    while windows < 200:
+        N = rng.randrange(4, 10)
+        first = sum(1 << c for c in rng.sample(range(27), N))
+        if not inside(first):
+            continue
+        end = first
+        for _ in range(rng.randrange(1, 400)):
+            end = _next_code(end)
+        while not inside(end):
+            end = _next_code(end)
+        if end >= 1 << 27:
+            continue
+        same(3, first, _colex_rank(end) - _colex_rank(first))
+        windows += 1
+
+
 def test_full_report_headline_counts(full_report):
     assert full_report.candidates == comb(27, 7) == 888030
     assert full_report.survivors == 3200
