@@ -9,12 +9,13 @@ minimum.  A code's images under all 47 non-identity symmetries come at once
 from per-slice lookup tables, which also give the orbit size.  The walk
 tests the high slices first: when a symmetry that maps the cells below a
 slice boundary onto themselves already maps the code's high part to a
-smaller one, every code with that high part is skipped unseen.  The minimal codes
-are filtered by connectivity and then by the one-point intersection
-property.  Orbits whose digit sets are translates of each other inside the
-grid have translated attractors, so by default they are merged into one
-isometry class.  Workers own disjoint chunks and return mergeable partial
-results, so the resulting report is byte-identical for any worker count.
+smaller one, every code with that high part is skipped unseen.  The
+minimal codes are filtered by connectivity and then by the one-point
+intersection property.  Orbits whose digit sets are translates of each
+other inside the grid have translated attractors, so by default they are
+merged into one isometry class.  Workers own disjoint chunks and return
+mergeable partial results, so the resulting report is byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
