@@ -33,8 +33,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     ds = parse_digitset(args.digits, n=args.order)
-    connected = topology.is_connected(ds)
-    one_point = topology.has_one_point_property(ds)
+    graph = topology.piece_adjacency(ds)
+    connected = graph.is_connected_graph()
+    one_point = not any(fc.is_multi for *_, fc in graph.edges)
     cf = canonical_form(ds)
     doc: dict = {
         "digits": ds.render_compact(),
@@ -53,7 +54,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             else {"point": [str(c) for c in fc.point.value]}
         )
     if one_point:
-        graph = topology.intersection_graph(ds)
         doc["edges"] = [[i + 1, j + 1, "{},{},{}".format(*a)] for i, j, a, _ in graph.edges]
         bg = topology._bipartite(graph)
         doc["points"] = [[str(c) for c in p.value] for p in bg.points]

@@ -129,8 +129,8 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[list[t
     ``lo``, its table and its stable mask: the guard bits of the elements
     that map the cells ``0..lo-1`` onto themselves (0 where there are
     none).  ``lows[r]`` lists the lowest slice's values with ``r`` cells in
-    increasing order, each with its table entry, so a value's position is
-    its colex rank.  ``ones`` is the packed value with 1 in every field.
+    increasing order, each with its table entry.  ``ones`` is the packed
+    value with 1 in every field.
     """
     ncells = n ** 3
     width = ncells + 1
@@ -153,26 +153,15 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[list[t
     return levels[::-1], lows, ones, ones << ncells
 
 
-def _colex_rank(code: int) -> int:
-    """Position of ``code`` among the codes of its popcount in increasing order."""
-    rank = i = 0
-    while code:
-        low = code & -code
-        i += 1
-        rank += comb(low.bit_length() - 1, i)
-        code ^= low
-    return rank
+def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
+    """The orbit-minimal codes from ``first`` to the end of its run.
 
-
-def _orbit_representatives(n: int, first: int, count: int) -> Iterator[tuple[int, int]]:
-    """The ``count`` codes from ``first`` on that are minimal in their orbit.
-
-    Walks the codes with ``first``'s popcount in increasing order (the
-    order of :func:`_next_code`) and yields ``(code, orbit size)`` for each
-    code that no element of ``CUBE_GROUP`` maps to a smaller code.  In the
-    packed sum described in :func:`_orbit_tables`, field ``g`` keeps its
-    guard bit iff ``g(code) >= code`` and holds the guard alone iff ``g``
-    fixes the code.
+    Walks the codes with ``first``'s popcount and highest cell (its run)
+    in increasing order, the order of :func:`_next_code`, and yields
+    ``(code, orbit size)`` for each code that no element of ``CUBE_GROUP``
+    maps to a smaller code.  In the packed sum described in
+    :func:`_orbit_tables`, field ``g`` keeps its guard bit iff ``g(code) >=
+    code`` and holds the guard alone iff ``g`` fixes the code.
 
     The codes that share their bits at and above a slice boundary ``lo``
     follow one another, and most of them are rejected together.  Write a
@@ -181,60 +170,62 @@ def _orbit_representatives(n: int, first: int, count: int) -> Iterator[tuple[int
     (g(L) - L)``, where ``g(H) - H`` is a multiple of ``2**lo`` and
     ``|g(L) - L| < 2**lo``.  So once the sum of the slices at and above
     ``lo`` clears the guard of such a ``g``, ``g(H) < H`` and no code with
-    this ``H`` is minimal: the walk jumps past all of them, and counts
-    them by the colex rank of the ``L`` it leaves at.  In a high part that
-    survives, the lowest slice's values with the needed popcount come
-    from the ascending list ``lows``.
+    this ``H`` is minimal: the walk jumps past all of them.  In a high part
+    that survives, the lowest slice's values with the needed popcount come
+    from the ascending list ``lows``; when the highest cell lies in the
+    lowest slice, that list also holds codes before ``first`` and after
+    the run.
     """
     levels, lows, ones, guards = _orbit_tables(n)
     low_bits = len(lows) - 1
     low_mask = (1 << low_bits) - 1
     size = len(CUBE_GROUP)
+    limit = 1 << first.bit_length()
     code = first
-    while count > 0:
+    while code < limit:
         upper = guards
         for lo, table, stable in levels:
             upper += table[code >> lo & _SLICE_MASK]
             if upper & stable != stable:
                 break
         else:
-            low = code & low_mask
-            block = lows[low.bit_count()]
-            start = _colex_rank(low)
-            for v, entry in block[start:start + count]:
+            high = code & ~low_mask
+            for v, entry in lows[(code & low_mask).bit_count()]:
                 diff = upper + entry
                 if diff & guards != guards:
                     continue
+                this = high | v
+                if this >= limit:
+                    return
+                if this < first:
+                    continue
                 # subtracting 1 clears the guard of exactly the fields that hold it alone
                 fixed = size - ((diff - ones) & guards).bit_count()
-                yield code ^ low | v, size // fixed
-            count -= len(block) - start
-            code = _next_code(code ^ low | block[-1][0])
-            continue
-        # no code that shares the bits at and above lo is minimal
+                yield this, size // fixed
+            lo = low_bits
+        # advance past every code that shares the bits at and above lo
         low = code & (1 << lo) - 1
         r = low.bit_count()
-        count -= comb(lo, r) - _colex_rank(low)
         code = _next_code(code ^ low | ((1 << r) - 1) << lo - r)
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
-    """Filter the orbit-minimal codes of ``count`` codes from ``first`` on.
+    """Filter the orbit-minimal codes from ``first`` to the end of its run.
 
-    Returns ``({code: orbit size}, codes covered)`` for the surviving
-    orbit minima; each code's own cells are its pieces.  Potential
-    adjacency first, then automaton liveness for exact connectivity, then
-    the product search for the one-point property.  The last two are the
-    kernel behind :func:`fracube.faces.classify_face`.  All three are
-    invariant under the cube group, so a minimum's verdict holds for its
-    whole orbit.
+    Returns ``({code: orbit size}, count)`` for the surviving orbit
+    minima, with the caller's ``count`` of the codes it covers; each code's
+    own cells are its pieces.  Potential adjacency first, then automaton
+    liveness for exact connectivity, then the product search for the
+    one-point property.  The last two are the kernel behind
+    :func:`fracube.faces.classify_face`.  All three are invariant under the
+    cube group, so a minimum's verdict holds for its whole orbit.
     """
     n, _, first, count = args
     tables = tables_for_order(n)
     scc_live = _scc_live
 
     survivors: dict[int, int] = {}
-    for this, orbit_size in _orbit_representatives(n, first, count):
+    for this, orbit_size in _orbit_representatives(n, first):
         cells = []
         rest = this
         while rest:

@@ -28,6 +28,28 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def _unused_parameters(path: Path) -> list[str]:
+    """``function.parameter`` for each parameter a function's body never reads."""
+    unused = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unused += [f"{name}.{p.arg}" for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return unused
+
+
+def test_no_unused_parameters():
+    unused = {p.name: names for p in sorted(SRC.glob("*.py")) if (names := _unused_parameters(p))}
+    assert unused == {}
+
+
 def _private_top_level(tree: ast.Module) -> set[str]:
     """Top-level ``_name`` functions, classes and assignments, dunders excepted."""
     names = set()

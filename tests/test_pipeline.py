@@ -191,7 +191,7 @@ def test_inspect_builds_the_piece_point_graph_once(graph_builds, capsys):
     assert cli.main(["inspect", text]) == 0
     assert "dendrite" in json.loads(capsys.readouterr().out)
     ds = parse_digitset(text)
-    assert sum(g == ds for g in graph_builds["piece_adjacency"]) <= 2
+    assert sum(g == ds for g in graph_builds["piece_adjacency"]) == 1
     assert [g.digitset for g in graph_builds["_bipartite"]] == [ds]
 
 
@@ -231,31 +231,50 @@ def test_match_labels_conflict_and_unknown():
     assert labeled.labels() == {"cell": report.classes[0].graph_code}
 
 
-def _walk(code: int, steps: int) -> int:
-    """The code ``steps`` places after ``code`` in the scan's order."""
-    from fracube.pipeline import _next_code
-    for _ in range(steps):
-        code = _next_code(code)
+def _colex_unrank(rank: int, k: int) -> int:
+    """The k-cell code at position ``rank`` in the scan's order."""
+    code = 0
+    for i in range(k, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rank:
+            c += 1
+        code |= 1 << c
+        rank -= comb(c, i)
     return code
+
+
+def _near_run_end(rng, h: int, k: int, most: int) -> int:
+    """A random k-cell code with highest cell h and at most ``most`` codes from it to the end of its run."""
+    size = comb(h, k - 1)
+    return 1 << h | _colex_unrank(rng.randrange(max(size - most, 0), size), k - 1)
+
+
+def _run_from(code: int, most: int) -> list[int] | None:
+    """The codes from ``code`` to the end of its run in the scan's order, or None if more than ``most``."""
+    from fracube.pipeline import _next_code
+    limit = 1 << code.bit_length()
+    codes: list[int] = []
+    while code < limit:
+        if len(codes) == most:
+            return None
+        codes.append(code)
+        code = _next_code(code)
+    return codes
 
 
 def test_scan_agrees_with_public_filters():
     # the tuned scan must reproduce is_connected + has_one_point_property on
-    # every orbit minimum, with canonical_form's orbit size
+    # every orbit minimum from its first code to the end of its run, with
+    # canonical_form's orbit size
     from fracube.pipeline import _scan_chunk
     from fracube.topology import has_one_point_property, is_connected
     from fracube.core import canonical_code, canonical_form
     import random
     rng = random.Random(71)
-    # random 7-cell codes below the last cell, so that each window fits
-    starts = [sum(1 << c for c in rng.sample(range(26), 7)) for _ in range(4)]
-    # windows that start at survivor representatives, so that some expectation is not empty
-    starts += [canonical_code(parse_digitset(text).code, 3) for _, text in bundled_labels()[::40]]
-    # windows that cross from one highest cell to the next, five codes in
-    for h in (8, 14, 20):
-        start = _walk(0x3f | 1 << h, comb(h, 6) - 5)
-        assert _walk(start, 5) == 0x3f | 1 << h + 1
-        starts.append(start)
+    runs = [_run_from(_near_run_end(rng, h, 7, 400), 400) for h in rng.sample(range(12, 27), 4)]
+    # survivor representatives near the end of their run, so that some expectation is not empty
+    canon = sorted({canonical_code(parse_digitset(text).code, 3) for _, text in bundled_labels()})
+    runs += [codes for code in canon if (codes := _run_from(code, 2500))]
     verdicts: dict[int, bool] = {}
 
     def verdict(code):
@@ -265,18 +284,16 @@ def test_scan_agrees_with_public_filters():
         return verdicts[code]
 
     nonempty = 0
-    for start in starts:
-        survivors, count = _scan_chunk((3, 7, start, 600))
-        assert count == 600
+    for codes in runs:
+        survivors, count = _scan_chunk((3, 7, codes[0], len(codes)))
+        assert count == len(codes)
         expected: dict[int, int] = {}
-        code = start
-        for _ in range(600):
+        for code in codes:
             canon = canonical_code(code, 3)
             # the filters are invariant under the cube group
             assert verdict(code) == verdict(canon)
             if canon == code and verdict(code):
                 expected[code] = canonical_form(DigitSet.from_code(code)).orbit_size
-            code = _walk(code, 1)
         assert survivors == expected
         nonempty += bool(expected)
     assert nonempty >= 3
@@ -289,15 +306,18 @@ def test_orbit_representatives_partition_codes():
     sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 5)] + [(4, 1), (4, 2), (5, 1), (5, 2)]
     for n, N in sizes:
         total = comb(n ** 3, N)
-        reps = dict(_orbit_representatives(n, (1 << N) - 1, total))
+        low = (1 << N - 1) - 1
+        reps: dict[int, int] = {}
+        for h in range(N - 1, n ** 3):
+            reps.update(_orbit_representatives(n, low | 1 << h))
         assert set(reps) == {canonical_code(c, n) for c in enumerate_codes(n, N)}, (n, N)
         for code, size in reps.items():
             assert size == canonical_form(DigitSet.from_code(code, n=n)).orbit_size, (n, N, code)
         assert sum(reps.values()) == total, (n, N)
 
 
-def _reference_orbit_representatives(n: int, first: int, count: int):
-    """The per-code walk: one Gosper step and one packed sum for every code."""
+def _reference_orbit_representatives(n: int, first: int):
+    """The per-code walk: one Gosper step and one packed sum for every code of the run."""
     from fracube.core import CUBE_GROUP
     from fracube.pipeline import _SLICE_MASK, _next_code, _orbit_tables
     levels, lows, ones, guards = _orbit_tables(n)
@@ -305,7 +325,7 @@ def _reference_orbit_representatives(n: int, first: int, count: int):
     low_mask = (1 << len(lows) - 1) - 1
     size = len(CUBE_GROUP)
     code = first
-    for _ in range(count):
+    while code < 1 << first.bit_length():
         diff = guards + low_table[code & low_mask]
         diff += sum(table[code >> lo & _SLICE_MASK] for lo, table, _ in levels)
         if diff & guards == guards:
@@ -328,47 +348,41 @@ def _rejected_level(n: int, code: int) -> int:
 def test_pruned_walk_matches_the_per_code_walk():
     # same (code, orbit size) pairs in the same order as the walk that tests every code
     import random
-    from fracube.pipeline import _colex_rank, _next_code, _orbit_representatives
+    from fracube.pipeline import _orbit_representatives
 
-    def same(n, first, count):
-        got = list(_orbit_representatives(n, first, count))
-        assert got == list(_reference_orbit_representatives(n, first, count)), (n, first, count)
+    def same(n, first):
+        got = list(_orbit_representatives(n, first))
+        assert got == list(_reference_orbit_representatives(n, first)), (n, first)
         return got
 
-    def chunks(n, N):
-        low = (1 << N - 1) - 1
-        return [(low | 1 << h, comb(h, N - 1)) for h in range(N - 1, n ** 3)]
-
-    # every chunk that classify_all hands to _scan_chunk
+    # every run that classify_all hands to _scan_chunk
     sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in (*range(1, 7), *range(22, 28))]
     sizes += [(4, N) for N in range(1, 4)]
     for n, N in sizes:
-        found = [pair for first, count in chunks(n, N) for pair in same(n, first, count)]
+        low = (1 << N - 1) - 1
+        found = [pair for h in range(N - 1, n ** 3) for pair in same(n, low | 1 << h)]
         assert sum(size for _, size in found) == comb(n ** 3, N), (n, N)
-    # the 6-cell window that the benchmark's self-test scans as a (3, 5) chunk
-    assert same(3, 1000, 3000)
+    # every start whose highest cell lies in the lowest slice, where the slice's
+    # list of values also holds codes before the start and after the run
+    for n, bits in ((2, 8), (3, 9)):
+        for first in range(1, 1 << bits):
+            same(n, first)
+    # the 6-cell start that the benchmark's self-test scans as a (3, 5) chunk
+    same(3, 1000)
 
-    # windows that start and end inside a rejected high part, away from its first code
+    # starts inside a rejected high part, away from its first code
     def inside(code):
         lo = _rejected_level(3, code)
-        return lo and _colex_rank(code & (1 << lo) - 1) > 0
+        low = code & (1 << lo) - 1
+        return lo and low != (1 << low.bit_count()) - 1
 
     rng = random.Random(113)
-    windows = 0
-    while windows < 200:
-        N = rng.randrange(4, 10)
-        first = sum(1 << c for c in rng.sample(range(27), N))
-        if not inside(first):
-            continue
-        end = first
-        for _ in range(rng.randrange(1, 400)):
-            end = _next_code(end)
-        while not inside(end):
-            end = _next_code(end)
-        if end >= 1 << 27:
-            continue
-        same(3, first, _colex_rank(end) - _colex_rank(first))
-        windows += 1
+    starts = 0
+    while starts < 200:
+        first = _near_run_end(rng, rng.randrange(12, 27), rng.randrange(4, 10), 400)
+        if inside(first):
+            same(3, first)
+            starts += 1
 
 
 def test_full_report_headline_counts(full_report):
