@@ -34,10 +34,14 @@ OFFSETS: tuple[Triple, ...] = tuple(
 )
 
 
+_OFFSET_CODES = {v: (v[0] + 1) + 3 * (v[1] + 1) + 9 * (v[2] + 1) for v in OFFSETS}
+
+
 def offset_enc(v: Triple) -> int:
-    if len(v) != 3 or not all(c in (-1, 0, 1) for c in v) or v == (0, 0, 0):
-        raise OutOfRange(f"{v} is not a nonzero offset in {{-1,0,1}}^3")
-    return (v[0] + 1) + 3 * (v[1] + 1) + 9 * (v[2] + 1)
+    try:
+        return _OFFSET_CODES[tuple(v)]
+    except (KeyError, TypeError):
+        raise OutOfRange(f"{v} is not a nonzero offset in {{-1,0,1}}^3") from None
 
 
 class _Tables:

@@ -4,10 +4,14 @@ Two deliberately separate routes re-derive face facts from first principles:
 
 * voxel iterates of the unit cube certify face *emptiness* (one-sided: the
   iterate contains the attractor, so disjoint closed cell unions prove the
-  face empty, while overlap proves nothing);
+  face empty, while overlap proves nothing).  Iterates are sets of packed
+  integers, and the certificate compares boundary slabs only, each built
+  as the iterate of the digits on one face of the grid;
 * breadth-first enumeration of label paths, memoized by (offset pair,
   difference state), re-decides the full empty/one/many trichotomy without
-  the liveness precomputation or early-exit search used by the main path.
+  the liveness precomputation or early-exit search used by the main path;
+  one backward pass over the label relation finds the offsets that start
+  an infinite path.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Sequence
 
 from .core import DigitSet
 from .errors import BudgetExceeded, DepthTooSmall, InvalidRequest
@@ -33,39 +37,63 @@ STABILIZATION_CAP = 26 * 26 * 27 + 1
 
 @dataclass(frozen=True)
 class VoxelSet:
-    """Cells of the m-th subdivision iterate of the unit cube."""
+    """Cells of the m-th subdivision iterate of the unit cube, packed as
+    (x*b + y)*b + z with b = n^m + 1."""
 
     digitset: DigitSet
     depth: int
-    cells: frozenset[Triple]
+    packed: frozenset[int]
+
+    @property
+    def cells(self) -> frozenset[Triple]:
+        b = self.digitset.n ** self.depth + 1
+        return frozenset((p // (b * b), p // b % b, p % b) for p in self.packed)
 
 
-@lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _boundary_slabs(vox: VoxelSet) -> tuple[int, dict[tuple[int, int], frozenset[int]]]:
-    """Packing base b and (axis, side) -> the cells, packed as (x*b + y)*b + z,
-    with that coordinate pinned to the grid boundary."""
-    edge = vox.digitset.n ** vox.depth - 1
-    b = edge + 2
-    rim = [(c, (c[0] * b + c[1]) * b + c[2]) for c in vox.cells if 0 in c or edge in c]
-    return b, {(axis, side): frozenset([p for c, p in rim if c[axis] == side])
-               for axis in range(3) for side in (0, edge)}
-
-
-def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
-    """Union of all depth-digit subdivision cells of the digit set."""
+def _check_request(ds: DigitSet, depth: int) -> None:
     if depth < 1:
         raise InvalidRequest("depth must be >= 1")
     if len(ds) ** depth > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {DEFAULT_CELL_BUDGET}")
-    cells: Iterable[Triple] = [(0, 0, 0)]
-    scale = 1
+
+
+def _iterate(digits: Sequence[Triple], n: int, depth: int) -> list[int]:
+    """Cells sum_i n^i d_i of the depth-digit words, packed in base n^depth + 1.
+
+    Every coordinate of a partial sum is at most n^depth - 1 < b, so packing
+    is linear on them and cannot carry: each level adds a scaled packed digit.
+    """
+    b = n ** depth + 1
+    packed = [(d[0] * b + d[1]) * b + d[2] for d in digits]
+    cells, scale = [0], 1
     for _ in range(depth):
-        steps = [(scale * d[0], scale * d[1], scale * d[2]) for d in ds.digits]
-        cells = [(x + dx, y + dy, z + dz) for (x, y, z) in cells for (dx, dy, dz) in steps]
-        scale *= ds.n
-    out = frozenset(cells)
+        steps = [scale * p for p in packed]
+        cells = [c + s for c in cells for s in steps]
+        scale *= n
+    return cells
+
+
+def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
+    """Union of all depth-digit subdivision cells of the digit set."""
+    _check_request(ds, depth)
+    out = frozenset(_iterate(ds.digits, ds.n, depth))
     assert len(out) == len(ds) ** depth
-    return VoxelSet(digitset=ds, depth=depth, cells=out)
+    return VoxelSet(digitset=ds, depth=depth, packed=out)
+
+
+@lru_cache(maxsize=1)  # callers finish one digit set before the next
+def _boundary_slabs(ds: DigitSet, depth: int) -> dict[tuple[int, int], frozenset[int]]:
+    """(axis, side) -> the cells of the depth-m iterate, packed as in
+    ``VoxelSet``, with that coordinate pinned to the grid boundary.
+
+    Coordinate k of a cell is sum_i n^i d_{i,k} with every term in
+    [0, n-1], so it is 0 exactly when every digit has d_k = 0 and
+    n^m - 1 exactly when every digit has d_k = n - 1: each slab is the
+    depth-m iterate of the digits on that face of the grid.
+    """
+    n = ds.n
+    return {(axis, side): frozenset(_iterate([d for d in ds.digits if d[axis] == digit], n, depth))
+            for axis in range(3) for digit, side in ((0, 0), (n - 1, n ** depth - 1))}
 
 
 class EmptinessCheck(enum.Enum):
@@ -86,15 +114,17 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     +1 on a free one, packed in base b.  Packing cannot carry: a coordinate
     difference minus its step lies in [-(edge+1), edge+1] and edge + 1 < b.
     (Too small a base could merge shifts: UNKNOWN, never a false certificate.)
-    Pass ``vox`` to reuse a precomputed iterate of the same digit set.
+    The slabs are iterates of the face digits (``_boundary_slabs``), so the
+    full iterate is never scanned; a ``vox`` passed in must match the request.
     """
     offset_enc(alpha)  # validate
     if vox is None:
-        vox = voxelize(ds, depth)
+        _check_request(ds, depth)
     elif vox.digitset != ds or vox.depth != depth:
         raise ValueError("precomputed voxel set does not match the request")
     edge = ds.n ** depth - 1
-    b, slabs = _boundary_slabs(vox)
+    b = edge + 2
+    slabs = _boundary_slabs(ds, depth)
     pinned = [k for k in range(3) if alpha[k]]
     near = frozenset.intersection(*(slabs[k, 0 if alpha[k] > 0 else edge] for k in pinned))
     far = frozenset.intersection(*(slabs[k, edge if alpha[k] > 0 else 0] for k in pinned))
@@ -129,21 +159,22 @@ def _label_edges(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
             for u in OFFSETS}
 
 
-def _has_long_path(edges: dict[Triple, list[tuple[Triple, Triple]]], start: Triple, length: int) -> bool:
-    """True iff some label path of the given length leaves ``start``."""
-    frontier = {start}
-    for _ in range(length):
-        frontier = {v for u in frontier for _, v in edges[u]}
-        if not frontier:
-            return False
-    return True
-
-
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
 def _relation(ds: DigitSet) -> tuple[dict[Triple, list[tuple[Triple, Triple]]], frozenset[Triple]]:
-    """The label relation and the offsets that start a 26-step path."""
+    """The label relation and the offsets that start a 26-step path.
+
+    One backward pass for all starts: S_0 is every offset and S_{k+1} the
+    offsets with an edge into S_k, so S_k starts a k-step path.  The sets
+    shrink, so a stable S equals S_26.
+    """
     edges = _label_edges(ds)
-    return edges, frozenset(u for u in OFFSETS if _has_long_path(edges, u, 26))
+    alive = frozenset(OFFSETS)
+    for _ in range(26):
+        nxt = frozenset(u for u in alive if any(v in alive for _, v in edges[u]))
+        if nxt == alive:
+            break
+        alive = nxt
+    return edges, alive
 
 
 def oracle_face_cardinality(ds: DigitSet, alpha: Triple) -> FaceCardinality:
@@ -212,7 +243,7 @@ def export_obj(vox: VoxelSet) -> str:
     sqrt(3) * n^-depth, so the mesh over-approximates it tightly.
     """
     scale = vox.digitset.n ** vox.depth
-    lines = [f"# voxel mesh of {vox.digitset} at depth {vox.depth}: {len(vox.cells)} cells"]
+    lines = [f"# voxel mesh of {vox.digitset} at depth {vox.depth}: {len(vox.packed)} cells"]
     index = 0
     for cx, cy, cz in sorted(vox.cells):
         for ox, oy, oz in _CUBE_CORNERS:

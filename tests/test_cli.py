@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,19 @@ def test_export_obj_structure():
     lines = out.stdout.splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 8 * 49
     assert sum(1 for l in lines if l.startswith("f ")) == 12 * 49
+
+
+def test_export_bytes_are_pinned(capsys):
+    # sha256 over depths 1-3 of three table rows, per format, as the tuple route wrote them
+    rows = ("020_101_110_111_112_121_202", "020_021_120_121_122_221_222", "000_010_020_021_121_221_222")
+    for fmt, digest in (("cells", "c9d4ab10ea3c2ee0985d0f9e18998ee60fc20186e53585d70de8820d062cb4b7"),
+                        ("obj", "405ea02e7a041c5ff4c217574cc22a3442f6b82a02478d4dc951b90cdd742fed")):
+        h = hashlib.sha256()
+        for text in rows:
+            for depth in (1, 2, 3):
+                assert cli.main(["export", text, "--depth", str(depth), "--format", fmt]) == 0
+                h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest, fmt
 
 
 def test_export_budget_error():

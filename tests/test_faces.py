@@ -40,6 +40,15 @@ def test_offset_encoding():
         offset_enc((2, 0, 0))
 
 
+def test_offset_enc_accepts_only_nonzero_offsets():
+    assert offset_enc((1, 0, 0)) == offset_enc([1, 0, 0]) == 14
+    assert offset_enc((-1, -1, -1)) == 0 and offset_enc((1, 1, 1)) == 26
+    for bad in [(0, 0, 0), [0, 0, 0], (2, 0, 0), (0, -2, 0), (1, 0, 0.5), (1, 0), (1, 0, 0, 0), (),
+                "abc", ((1,), 0, 0), [[1], 0, 0], 5, None]:
+        with pytest.raises(OutOfRange):
+            offset_enc(bad)
+
+
 def test_edge_targets_never_zero():
     # arithmetic unreachability of the zero offset, checked on the static tables:
     # every pair-table edge u -> w has w = n*u + digit(b) - digit(a) nonzero

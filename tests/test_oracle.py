@@ -58,6 +58,34 @@ def test_voxel_budget():
         voxelize(TABLE2_FIRST, 0)
 
 
+def _reference_voxel_cells(ds, depth):
+    """The coordinate-tuple route: each level adds the scaled digits to every cell."""
+    cells, scale = [(0, 0, 0)], 1
+    for _ in range(depth):
+        cells = [(x + scale * d[0], y + scale * d[1], z + scale * d[2]) for x, y, z in cells for d in ds.digits]
+        scale *= ds.n
+    return frozenset(cells)
+
+
+def test_packed_iterate_matches_the_tuple_route():
+    # seeded sets of orders 2-4 at depths 1-4, then sets with cells on both
+    # opposite faces of every axis, where a packed sum could carry
+    rng = random.Random(67)
+    cases = [random_digitset(rng, n=n, size=rng.randrange(1, min(n ** 3, 9) + 1))
+             for n in (2, 3, 4) for _ in range(15)]
+    for n in (2, 3, 4):
+        for _ in range(10):
+            extra = rng.sample(range(1, n ** 3 - 1), rng.randrange(1, 6))
+            cases.append(DigitSet.from_code(1 | 1 << (n ** 3 - 1) | sum(1 << c for c in extra), n=n))
+    checked = 0
+    for ds in cases:
+        for depth in range(1, 5):
+            if len(ds) ** depth <= 50_000:
+                assert voxelize(ds, depth).cells == _reference_voxel_cells(ds, depth), (ds, depth)
+                checked += depth == 4
+    assert checked > 50
+
+
 def test_certified_empty_on_separated_offsets():
     # corner dust never meets its own diagonal translate
     assert oracle_face_empty(CORNERS, (1, 1, 1), 2) is EmptinessCheck.CERTIFIED_EMPTY
@@ -170,6 +198,30 @@ def test_label_edges_match_the_triple_loop():
     for ds in cases:
         edges, reference = oracle._label_edges(ds), _reference_label_edges(ds)
         assert {u: sorted(edges[u]) for u in OFFSETS} == {u: sorted(reference[u]) for u in OFFSETS}, ds
+
+
+def _has_long_path(edges, start, length):
+    """True iff some label path of the given length leaves ``start``."""
+    frontier = {start}
+    for _ in range(length):
+        frontier = {v for u in frontier for _, v in edges[u]}
+        if not frontier:
+            return False
+    return True
+
+
+def test_extendable_offsets_match_the_forward_reference():
+    # the backward pass for all starts against one forward pass per start
+    rng = random.Random(71)
+    cases = [parse_digitset(text) for _, text in bundled_labels()]
+    cases += [random_digitset(rng, n=n, size=rng.randrange(2, min(n ** 3, 12) + 1))
+              for n in (2, 3, 4) for _ in range(40)]
+    sizes = set()
+    for ds in cases:
+        edges, extendable = oracle._relation(ds)
+        assert extendable == {u for u in OFFSETS if _has_long_path(edges, u, 26)}, ds
+        sizes.add(len(extendable))
+    assert 0 in sizes and len(sizes) > 5
 
 
 def test_certified_empty_implies_empty_class():
