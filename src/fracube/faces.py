@@ -29,12 +29,10 @@ Triple = tuple[int, int, int]
 # Offsets are indexed by their code (x+1) + 3(y+1) + 9(z+1) in 0..26: 13 is
 # the zero vector, and -v has code 26 - offset_enc(v).
 ZERO_ENC = 13
-OFFSETS: tuple[Triple, ...] = tuple(
-    (e % 3 - 1, e // 3 % 3 - 1, e // 9 - 1) for e in range(27) if e != ZERO_ENC
-)
-
-
-_OFFSET_CODES = {v: (v[0] + 1) + 3 * (v[1] + 1) + 9 * (v[2] + 1) for v in OFFSETS}
+_OFFSET_CODES: dict[Triple, int] = {
+    (e % 3 - 1, e // 3 % 3 - 1, e // 9 - 1): e for e in range(27) if e != ZERO_ENC
+}
+OFFSETS: tuple[Triple, ...] = tuple(_OFFSET_CODES)
 
 
 def offset_enc(v: Triple) -> int:

@@ -56,6 +56,11 @@ def test_voxel_budget():
         voxelize(TABLE2_FIRST, 9)
     with pytest.raises(ValueError):
         voxelize(TABLE2_FIRST, 0)
+    # the certificate builds no full iterate but refuses the same requests
+    with pytest.raises(BudgetExceeded):
+        oracle_face_empty(TABLE2_FIRST, (1, 0, 0), 9)
+    with pytest.raises(ValueError):
+        oracle_face_empty(TABLE2_FIRST, (1, 0, 0), 0)
 
 
 def _reference_voxel_cells(ds, depth):
