@@ -11,6 +11,10 @@ from .core import canonical_form, parse_digitset
 from .errors import FracubeError
 from .faces import OFFSETS, classify_face
 
+# Voxel depth of the emptiness certificate in `verify`: depth 4 certifies the
+# same 1756 of the 2730 table faces as depths 5 and 6, at a fraction of the cells.
+CERTIFICATE_DEPTH = 4
+
 
 def _write(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
@@ -35,7 +39,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     ds = parse_digitset(args.digits, n=args.order)
     graph = topology.piece_adjacency(ds)
     connected = graph.is_connected_graph()
-    one_point = not any(fc.is_multi for *_, fc in graph.edges)
+    one_point = graph.is_one_point()
     cf = canonical_form(ds)
     doc: dict = {
         "digits": ds.render_compact(),
@@ -92,8 +96,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines = [f"{summary.matched}/{summary.total} matched"]
     ok = summary.ok
     if not args.skip_oracle:
-        agreed = 0
-        failures = []
+        agreed = certified = 0
+        failures, contradictions = [], []
         for label, text in pipeline.bundled_labels():
             ds = parse_digitset(text)
             for alpha in OFFSETS:
@@ -101,10 +105,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     agreed += 1
                 else:
                     failures.append(f"{label} {text} at {alpha}")
+                empty = oracle.oracle_face_empty(ds, alpha, CERTIFICATE_DEPTH)
+                if empty is oracle.EmptinessCheck.CERTIFIED_EMPTY:
+                    certified += 1
+                    if not classify_face(ds, alpha).is_empty:
+                        contradictions.append(f"{label} {text} at {alpha}")
         lines.append(f"{agreed}/{26 * summary.total} face checks agreed")
-        if failures:
+        lines.append(f"{certified}/{26 * summary.total} faces certified empty, "
+                     f"{len(contradictions)} contradicted")
+        if failures or contradictions:
             ok = False
             lines.extend("oracle disagreement: " + f for f in failures)
+            lines.extend("oracle contradiction: " + f for f in contradictions)
     for m in summary.mismatches:
         lines.append("mismatch: " + m)
     _write("\n".join(lines), args.out)

@@ -86,6 +86,11 @@ class DigitSet:
         digits = tuple(table[c] for c in range(code.bit_length()) if code >> c & 1)
         return cls(n=n, digits=digits, code=code)
 
+    def __hash__(self) -> int:
+        # equal sets have equal codes, so this agrees with the generated __eq__;
+        # every lru_cache keyed by a digit set hashes it
+        return hash((self.n, self.code))
+
     def __len__(self) -> int:
         return len(self.digits)
 

@@ -5,18 +5,21 @@ Two deliberately separate routes re-derive face facts from first principles:
 * voxel iterates of the unit cube certify face *emptiness* (one-sided: the
   iterate contains the attractor, so disjoint closed cell unions prove the
   face empty, while overlap proves nothing).  Iterates are sets of packed
-  integers, and the certificate compares boundary slabs only, each built
-  as the iterate of the digits on one face of the grid;
+  integers.  The certificate compares only the sides of the iterate that
+  face each other, each a bitmask over the free axes built as the iterate
+  of the digits on that side of the grid, and widens one side by a cell
+  along every free axis with two shifts per axis;
 * breadth-first enumeration of label paths, memoized by (offset pair,
   difference state), re-decides the full empty/one/many trichotomy without
-  the liveness precomputation or early-exit search used by the main path;
-  one backward pass over the label relation finds the offsets that start
-  an infinite path.
+  the liveness precomputation or early-exit search used by the main path.
+  The label relation is solved per axis for each label step, and one
+  backward pass over it finds the offsets that start an infinite path.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -82,18 +85,41 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _boundary_slabs(ds: DigitSet, depth: int) -> dict[tuple[int, int], frozenset[int]]:
-    """(axis, side) -> the cells of the depth-m iterate, packed as in
-    ``VoxelSet``, with that coordinate pinned to the grid boundary.
+def _boundary_slabs(ds: DigitSet, depth: int) -> dict[Triple, int]:
+    """offset alpha -> the near side of the depth-m iterate towards alpha, as a bitmask.
 
     Coordinate k of a cell is sum_i n^i d_{i,k} with every term in
     [0, n-1], so it is 0 exactly when every digit has d_k = 0 and
-    n^m - 1 exactly when every digit has d_k = n - 1: each slab is the
-    depth-m iterate of the digits on that face of the grid.
+    n^m - 1 exactly when every digit has d_k = n - 1.  The near side of
+    alpha (coordinate 0 where alpha_k > 0, n^m - 1 where alpha_k < 0) is
+    therefore the iterate of the digits with d_k = 0, resp. n - 1, on every
+    pinned axis.  Its cells are projected onto the free axes, one bit per
+    cell at sum_i b^i c_{k_i} (free axes k_0 < k_1 ..., b = n^m + 1), and
+    each level ORs the mask shifted by the scaled packed digits.  The far
+    side of alpha is the near side of -alpha.
     """
     n = ds.n
-    return {(axis, side): frozenset(_iterate([d for d in ds.digits if d[axis] == digit], n, depth))
-            for axis in range(3) for digit, side in ((0, 0), (n - 1, n ** depth - 1))}
+    b = n ** depth + 1
+    near: dict[Triple, list[Triple]] = {alpha: [] for alpha in OFFSETS}
+    for d in ds.digits:
+        sides = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in d]
+        for alpha in itertools.product(*sides):
+            if alpha != (0, 0, 0):
+                near[alpha].append(d)
+    out = {}
+    for alpha, digits in near.items():
+        weight, step = [0, 0, 0], 1
+        for k in range(3):
+            if not alpha[k]:
+                weight[k], step = step, step * b
+        mask, scale = 1, 1
+        for _ in range(depth):
+            level = 0
+            for d in digits:
+                level |= mask << scale * (d[0] * weight[0] + d[1] * weight[1] + d[2] * weight[2])
+            mask, scale = level, scale * n
+        out[alpha] = mask
+    return out
 
 
 class EmptinessCheck(enum.Enum):
@@ -106,33 +132,32 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     """Certify F(alpha) empty when the closed voxel regions do not touch.
 
     Closed cells c and c' of A_m and A_m + n^m*alpha can only intersect when
-    c sits on the grid face pointed at by alpha and c' on the opposite one
+    c sits on the grid side pointed at by alpha and c' on the opposite one
     (the axis difference n^m*alpha_k +/- 1 forces c_k = 0, c'_k = n^m - 1),
-    so only boundary slabs are compared, within distance 1 on the free axes:
-    near and far cells touch iff far = near + s for one of the 3^k shifts s
-    (k free axes), whose step is alpha_k*edge on a pinned axis and -1, 0 or
-    +1 on a free one, packed in base b.  Packing cannot carry: a coordinate
-    difference minus its step lies in [-(edge+1), edge+1] and edge + 1 < b.
-    (Too small a base could merge shifts: UNKNOWN, never a false certificate.)
-    The slabs are iterates of the face digits (``_boundary_slabs``), so the
-    full iterate is never scanned; a ``vox`` passed in must match the request.
+    and then they touch iff their free coordinates differ by at most 1 each.
+    So the near bitmask of ``_boundary_slabs`` is widened by +/-1 on each
+    free axis in turn (a shift by b^i each way) and the face is certified
+    empty iff the widened mask misses the far one.  Coordinates are at most
+    n^m - 1 = b - 2, so a +/-1 step lands at most on slot b - 1 of its axis,
+    never carries into the next one, and slot b - 1 holds no cell; a step
+    below bit 0 falls off.  A spurious bit thus never meets a cell, and an
+    UNKNOWN is never turned into a false certificate.  The full iterate is
+    never built; a ``vox`` passed in must match the request.
     """
     offset_enc(alpha)  # validate
     if vox is None:
         _check_request(ds, depth)
     elif vox.digitset != ds or vox.depth != depth:
         raise ValueError("precomputed voxel set does not match the request")
-    edge = ds.n ** depth - 1
-    b = edge + 2
     slabs = _boundary_slabs(ds, depth)
-    pinned = [k for k in range(3) if alpha[k]]
-    near = frozenset.intersection(*(slabs[k, 0 if alpha[k] > 0 else edge] for k in pinned))
-    far = frozenset.intersection(*(slabs[k, edge if alpha[k] > 0 else 0] for k in pinned))
-    steps = [(alpha[k] * edge,) if alpha[k] else (-1, 0, 1) for k in range(3)]
-    shifts = [(sx * b + sy) * b + sz for sx in steps[0] for sy in steps[1] for sz in steps[2]]
-    if near and far and any(not far.isdisjoint(map(s.__add__, near)) for s in shifts):
-        return EmptinessCheck.UNKNOWN
-    return EmptinessCheck.CERTIFIED_EMPTY
+    near, far = slabs[alpha], slabs[-alpha[0], -alpha[1], -alpha[2]]
+    b = ds.n ** depth + 1
+    step = 1
+    for k in range(3):
+        if not alpha[k]:
+            near |= near << step | near >> step
+            step *= b
+    return EmptinessCheck.UNKNOWN if near & far else EmptinessCheck.CERTIFIED_EMPTY
 
 
 class FaceCardinality(enum.Enum):
@@ -144,19 +169,26 @@ class FaceCardinality(enum.Enum):
 def _label_edges(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
     """offset -> [(first label d, target offset)] by direct enumeration.
 
-    u -> n*u + dp - d for every label pair; the first labels d are grouped by
-    the step dp - d, so each offset tests each distinct step once.
+    u -> n*u + dp - d for every label pair.  The first labels d are grouped
+    by the step e = dp - d, and v = n*u + e is solved per axis: the pairs
+    (u_k, v_k) in {-1,0,1}^2 with v_k = n*u_k + e_k (one at most for n >= 3,
+    up to two at n = 2) multiply into the edges of that step, less those
+    with u = 0 or v = 0.
     """
     n = ds.n
+    digits = [tuple(d) for d in ds.digits]
     by_step: dict[Triple, list[Triple]] = {}
-    for d in ds.digits:
-        for dp in ds.digits:
-            by_step.setdefault((dp[0] - d[0], dp[1] - d[1], dp[2] - d[2]), []).append(tuple(d))
-    offset_set = set(OFFSETS)
-    return {u: [(d, v) for e, firsts in by_step.items()
-                if (v := (n * u[0] + e[0], n * u[1] + e[1], n * u[2] + e[2])) in offset_set
-                for d in firsts]
-            for u in OFFSETS}
+    for d in digits:
+        for dp in digits:
+            by_step.setdefault((dp[0] - d[0], dp[1] - d[1], dp[2] - d[2]), []).append(d)
+    axis = {e: [(u, n * u + e) for u in (-1, 0, 1) if -1 <= n * u + e <= 1] for e in range(1 - n, n)}
+    out: dict[Triple, list[tuple[Triple, Triple]]] = {u: [] for u in OFFSETS}
+    for e, firsts in by_step.items():
+        for (ux, vx), (uy, vy), (uz, vz) in itertools.product(axis[e[0]], axis[e[1]], axis[e[2]]):
+            if (ux or uy or uz) and (vx or vy or vz):
+                v = (vx, vy, vz)
+                out[ux, uy, uz].extend((d, v) for d in firsts)
+    return out
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next

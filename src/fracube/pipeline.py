@@ -65,9 +65,9 @@ from .topology import (
     _dendrite,
     _piece_pairs,
     graph_code,
-    has_one_point_property,
     intersection_graph,
     is_connected,
+    piece_adjacency,
 )
 
 # classify_all refuses larger scans up front.  The largest order-3 problem,
@@ -482,14 +482,15 @@ def verify_against_tables(report: ClassificationReport,
         if not is_connected(ds):
             mismatches.append(f"{name}: not connected")
             continue
-        if not has_one_point_property(ds):
+        graph = piece_adjacency(ds)  # one build for the one-point test and the code
+        if not graph.is_one_point():
             mismatches.append(f"{name}: one-point property fails")
             continue
         rec = canon_of.get(canonical_form(ds).canonical.code)
         if rec is None:
             mismatches.append(f"{name}: canonical form missing from report")
             continue
-        gc = graph_code(intersection_graph(ds))
+        gc = graph_code(graph)
         expected = label_code.setdefault(label, gc)
         if gc != expected:
             mismatches.append(f"{name}: graph code {gc} differs from its table's {expected}")

@@ -62,6 +62,10 @@ class PieceGraph:
     def is_connected_graph(self) -> bool:
         return _connected(self.n_vertices, self.edges)
 
+    def is_one_point(self) -> bool:
+        """No two pieces meet in more than one point."""
+        return not any(fc.is_multi for *_, fc in self.edges)
+
     def is_tree(self) -> bool:
         return self.is_connected_graph() and len(self.edges) == self.n_vertices - 1
 
@@ -94,13 +98,13 @@ def is_connected(ds: DigitSet) -> bool:
 
 def has_one_point_property(ds: DigitSet) -> bool:
     """No two pieces may meet in more than one point."""
-    return not any(fc.is_multi for _, _, _, fc in piece_adjacency(ds).edges)
+    return piece_adjacency(ds).is_one_point()
 
 
 def intersection_graph(ds: DigitSet) -> PieceGraph:
     """The piece graph of a digit set with the one-point property."""
     g = piece_adjacency(ds)
-    if any(fc.is_multi for _, _, _, fc in g.edges):
+    if not g.is_one_point():
         raise OnePointViolation(f"{ds} has a multi-point piece intersection")
     return g
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -189,3 +190,19 @@ def test_verify_oracle_sweep_counts(full_report, monkeypatch, tmp_path):
     assert cli.cmd_verify(args) == 1  # the one reference mismatch stays
     text = target.read_text()
     assert "2730/2730 face checks agreed" in text
+    assert "1756/2730 faces certified empty, 0 contradicted" in text
+    assert "oracle contradiction" not in text
+
+
+def test_verify_reports_a_contradicted_certificate(full_report, monkeypatch, tmp_path):
+    # a classifier that calls every face nonempty contradicts every certificate
+    monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
+    monkeypatch.setattr(cli.pipeline, "verify_against_tables",
+                        lambda report: cli.pipeline.VerificationSummary(total=105, matched=105, mismatches=()))
+    monkeypatch.setattr(cli, "classify_face", lambda ds, alpha: types.SimpleNamespace(is_empty=False))
+    target = tmp_path / "verify.txt"
+    args = argparse.Namespace(workers=1, skip_oracle=False, out=str(target))
+    assert cli.cmd_verify(args) == 1
+    lines = target.read_text().splitlines()
+    assert "1756/2730 faces certified empty, 1756 contradicted" in lines
+    assert sum(line.startswith("oracle contradiction: ") for line in lines) == 1756

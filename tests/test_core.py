@@ -52,6 +52,21 @@ def test_parse_braced_equals_compact():
     assert c == b
 
 
+def test_equal_sets_hash_equal():
+    rows = [((0, 2, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 0, 2)),
+            ((0, 0, 0), (1, 1, 1)), ((3, 0, 1), (0, 3, 3), (2, 2, 0))]
+    for digits in rows:
+        n = 4 if any(3 in d for d in digits) else 3
+        forms = [DigitSet.from_digits(reversed(digits), n=n),
+                 DigitSet.from_code(DigitSet.from_digits(digits, n=n).code, n=n),
+                 parse_digitset("_".join("".join(map(str, d)) for d in digits), n=n),
+                 parse_digitset("{" + ", ".join(str(d) for d in digits) + "}", n=n)]
+        assert len(set(forms)) == 1
+        assert len({hash(ds) for ds in forms}) == 1
+    # the same code at another order is another set
+    assert DigitSet.from_code(3, n=3) != DigitSet.from_code(3, n=4)
+
+
 def test_parse_singleton():
     assert parse_digitset("000").digits == (Digit(0, 0, 0),)
 

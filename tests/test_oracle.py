@@ -170,6 +170,16 @@ def test_certificate_matches_the_tuple_reference():
             extra = rng.sample(range(1, n ** 3 - 1), rng.randrange(1, 6))
             ds = DigitSet.from_code(1 | 1 << (n ** 3 - 1) | sum(1 << c for c in extra), n=n)
             cases += [(ds, m) for m in range(1, 5) if len(ds) ** m <= 200_000]
+    # order 5, where the packing base n^m + 1 is largest: random sets, then
+    # sets holding a line of cells across the grid, whose faces along it touch
+    rng = random.Random(73)
+    for i in range(24):
+        ds = random_digitset(rng, n=5, size=rng.randrange(2, 13))
+        if i % 2:
+            step = 5 ** rng.randrange(3)
+            start = (cell := rng.randrange(125)) - cell // step % 5 * step
+            ds = DigitSet.from_code(ds.code | sum(1 << start + t * step for t in range(5)), n=5)
+        cases.append((ds, rng.choice([m for m in range(1, 5) if len(ds) ** m <= 200_000])))
     disagree, certified = [], 0
     for ds, depth in cases:
         vox = voxelize(ds, depth)
@@ -200,6 +210,8 @@ def test_label_edges_match_the_triple_loop():
     cases = [parse_digitset(text) for _, text in bundled_labels()]
     cases += [random_digitset(rng, n=n, size=rng.randrange(2, min(n ** 3, 12) + 1))
               for n in (2, 3, 4) for _ in range(50)]
+    rng = random.Random(79)
+    cases += [random_digitset(rng, n=5, size=rng.randrange(2, 13)) for _ in range(30)]
     for ds in cases:
         edges, reference = oracle._label_edges(ds), _reference_label_edges(ds)
         assert {u: sorted(edges[u]) for u in OFFSETS} == {u: sorted(reference[u]) for u in OFFSETS}, ds

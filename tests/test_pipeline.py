@@ -431,6 +431,24 @@ def test_corrupted_table_is_reported(full_report):
     assert "parse failed" in summary.mismatches[1]
 
 
+def test_verify_builds_one_piece_graph_per_connected_row(full_report, graph_builds):
+    bad = (
+        ("7_11", "000_002_020_200_022_202_220"),  # disconnected corner dust
+        ("7_9", "000_000_111"),                   # duplicate digit
+        ("7_5", "000_001_002_010_011_012_020"),   # realized multi-point face
+    )
+    summary = verify_against_tables(full_report, bundled_labels() + bad)
+    assert (summary.total, summary.matched) == (108, 104)
+    assert [m.split(":")[0] for m in summary.mismatches] == [
+        "nonden6 000_001_010_020_111_221_222", "7_11 000_002_020_200_022_202_220",
+        "7_9 000_000_111", "7_5 000_001_002_010_011_012_020"]
+    assert summary.mismatches[0].endswith("graph code 7:1be000 differs from its table's 7:1ca900")
+    assert summary.mismatches[3].endswith("one-point property fails")
+    connected = [parse_digitset(text) for _, text in bundled_labels()]
+    connected.append(parse_digitset(bad[2][1]))
+    assert graph_builds["piece_adjacency"] == connected
+
+
 def test_render_formats_on_labeled_report(full_report):
     labeled = match_labels(full_report, label_representatives())
     doc = json.loads(render_json(labeled))
