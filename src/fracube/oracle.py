@@ -6,9 +6,10 @@ Two deliberately separate routes re-derive face facts from first principles:
   iterate contains the attractor, so disjoint closed cell unions prove the
   face empty, while overlap proves nothing).  Iterates are sets of packed
   integers.  The certificate compares only the sides of the iterate that
-  face each other, each a bitmask over the free axes built as the iterate
-  of the digits on that side of the grid, and widens one side by a cell
-  along every free axis with two shifts per axis;
+  face each other, each a bitmask over the free axes (a set of packed
+  positions where the grid is too wide for one) built as the iterate of
+  the digits on that side of the grid, and widens one side by a cell
+  along every free axis;
 * breadth-first enumeration of label paths, memoized by (offset pair,
   difference state), re-decides the full empty/one/many trichotomy without
   the liveness precomputation or early-exit search used by the main path.
@@ -32,6 +33,10 @@ from . import faces
 Triple = tuple[int, int, int]
 
 DEFAULT_CELL_BUDGET = 2_000_000
+
+# A boundary side whose packed positions span more bits than this is kept as
+# a set of positions instead of a bitmask (128 KiB a mask at most).
+DENSE_SLAB_BITS = 1 << 20
 
 # Paths of this length pass through more states than the pair automaton has,
 # so the frontier provably stabilizes within the cap.
@@ -60,14 +65,13 @@ def _check_request(ds: DigitSet, depth: int) -> None:
         raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {DEFAULT_CELL_BUDGET}")
 
 
-def _iterate(digits: Sequence[Triple], n: int, depth: int) -> list[int]:
-    """Cells sum_i n^i d_i of the depth-digit words, packed in base n^depth + 1.
+def _iterate(packed: Sequence[int], n: int, depth: int) -> list[int]:
+    """The sums sum_i n^i p_i over the depth-letter words of the packed digits p.
 
-    Every coordinate of a partial sum is at most n^depth - 1 < b, so packing
-    is linear on them and cannot carry: each level adds a scaled packed digit.
+    Packed in base n^depth + 1, every coordinate of a partial sum is at most
+    n^depth - 1 < b, so packing is linear on them and cannot carry: each
+    level adds a scaled packed digit.
     """
-    b = n ** depth + 1
-    packed = [(d[0] * b + d[1]) * b + d[2] for d in digits]
     cells, scale = [0], 1
     for _ in range(depth):
         steps = [scale * p for p in packed]
@@ -79,24 +83,27 @@ def _iterate(digits: Sequence[Triple], n: int, depth: int) -> list[int]:
 def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     """Union of all depth-digit subdivision cells of the digit set."""
     _check_request(ds, depth)
-    out = frozenset(_iterate(ds.digits, ds.n, depth))
+    b = ds.n ** depth + 1
+    out = frozenset(_iterate([(d[0] * b + d[1]) * b + d[2] for d in ds.digits], ds.n, depth))
     assert len(out) == len(ds) ** depth
     return VoxelSet(digitset=ds, depth=depth, packed=out)
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _boundary_slabs(ds: DigitSet, depth: int) -> dict[Triple, int]:
-    """offset alpha -> the near side of the depth-m iterate towards alpha, as a bitmask.
+def _boundary_slabs(ds: DigitSet, depth: int) -> dict[Triple, int | frozenset[int]]:
+    """offset alpha -> the near side of the depth-m iterate towards alpha.
 
     Coordinate k of a cell is sum_i n^i d_{i,k} with every term in
     [0, n-1], so it is 0 exactly when every digit has d_k = 0 and
     n^m - 1 exactly when every digit has d_k = n - 1.  The near side of
     alpha (coordinate 0 where alpha_k > 0, n^m - 1 where alpha_k < 0) is
     therefore the iterate of the digits with d_k = 0, resp. n - 1, on every
-    pinned axis.  Its cells are projected onto the free axes, one bit per
-    cell at sum_i b^i c_{k_i} (free axes k_0 < k_1 ..., b = n^m + 1), and
-    each level ORs the mask shifted by the scaled packed digits.  The far
-    side of alpha is the near side of -alpha.
+    pinned axis.  Its cells are projected onto the free axes and packed at
+    sum_i b^i c_{k_i} (free axes k_0 < k_1 ..., b = n^m + 1).  While those
+    positions span at most DENSE_SLAB_BITS, the side is one bitmask, and
+    each level ORs the mask shifted by the scaled packed digits; beyond that
+    it is the set of positions, so no request allocates more than its cells.
+    The far side of alpha is the near side of -alpha.
     """
     n = ds.n
     b = n ** depth + 1
@@ -106,17 +113,21 @@ def _boundary_slabs(ds: DigitSet, depth: int) -> dict[Triple, int]:
         for alpha in itertools.product(*sides):
             if alpha != (0, 0, 0):
                 near[alpha].append(d)
-    out = {}
+    out: dict[Triple, int | frozenset[int]] = {}
     for alpha, digits in near.items():
-        weight, step = [0, 0, 0], 1
+        weight, span = [0, 0, 0], 1
         for k in range(3):
             if not alpha[k]:
-                weight[k], step = step, step * b
+                weight[k], span = span, span * b
+        packed = [d[0] * weight[0] + d[1] * weight[1] + d[2] * weight[2] for d in digits]
+        if span > DENSE_SLAB_BITS:
+            out[alpha] = frozenset(_iterate(packed, n, depth))
+            continue
         mask, scale = 1, 1
         for _ in range(depth):
             level = 0
-            for d in digits:
-                level |= mask << scale * (d[0] * weight[0] + d[1] * weight[1] + d[2] * weight[2])
+            for p in packed:
+                level |= mask << scale * p
             mask, scale = level, scale * n
         out[alpha] = mask
     return out
@@ -135,29 +146,38 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     c sits on the grid side pointed at by alpha and c' on the opposite one
     (the axis difference n^m*alpha_k +/- 1 forces c_k = 0, c'_k = n^m - 1),
     and then they touch iff their free coordinates differ by at most 1 each.
-    So the near bitmask of ``_boundary_slabs`` is widened by +/-1 on each
-    free axis in turn (a shift by b^i each way) and the face is certified
-    empty iff the widened mask misses the far one.  Coordinates are at most
-    n^m - 1 = b - 2, so a +/-1 step lands at most on slot b - 1 of its axis,
-    never carries into the next one, and slot b - 1 holds no cell; a step
-    below bit 0 falls off.  A spurious bit thus never meets a cell, and an
-    UNKNOWN is never turned into a false certificate.  The full iterate is
-    never built; a ``vox`` passed in must match the request.
+    So the near side from ``_boundary_slabs`` is widened by +/-1 on each
+    free axis (a shift by b^i each way) and the face is certified empty iff
+    the widened side misses the far one.  Coordinates are at most
+    n^m - 1 = b - 2, so a shifted position has its coordinates in
+    [-1, b - 1]; read modulo b from the lowest axis up, it equals a cell's
+    position only if every coordinate matches, because no cell holds slot
+    b - 1 (where a +/-1 step past the edge lands) and a step below bit 0 of
+    a bitmask falls off.  A spurious position thus never meets a cell, and
+    an UNKNOWN is never turned into a false certificate.  The full iterate
+    is never built; a ``vox`` passed in must match the request.
     """
     offset_enc(alpha)  # validate
     if vox is None:
         _check_request(ds, depth)
     elif vox.digitset != ds or vox.depth != depth:
         raise ValueError("precomputed voxel set does not match the request")
+    x, y, z = alpha
     slabs = _boundary_slabs(ds, depth)
-    near, far = slabs[alpha], slabs[-alpha[0], -alpha[1], -alpha[2]]
+    near, far = slabs[x, y, z], slabs[-x, -y, -z]
     b = ds.n ** depth + 1
-    step = 1
-    for k in range(3):
-        if not alpha[k]:
-            near |= near << step | near >> step
-            step *= b
-    return EmptinessCheck.UNKNOWN if near & far else EmptinessCheck.CERTIFIED_EMPTY
+    if isinstance(near, int):
+        step = 1
+        for c in (x, y, z):
+            if not c:
+                near |= near << step | near >> step
+                step *= b
+        touch = near & far
+    else:
+        steps = [b ** i for i in range((x, y, z).count(0))]
+        shifts = [sum(map(int.__mul__, signs, steps)) for signs in itertools.product((-1, 0, 1), repeat=len(steps))]
+        touch = near and far and any(not far.isdisjoint(map(s.__add__, near)) for s in shifts)
+    return EmptinessCheck.UNKNOWN if touch else EmptinessCheck.CERTIFIED_EMPTY
 
 
 class FaceCardinality(enum.Enum):

@@ -155,7 +155,7 @@ def _reference_face_empty(vox):
     return verdicts
 
 
-def test_certificate_matches_the_tuple_reference():
+def _certificate_cases():
     # the table rows at depth 4, then seeded random sets of orders 2-4 at depths 1-4
     rng = random.Random(53)
     cases = [(parse_digitset(text), 4) for _, text in bundled_labels()]
@@ -180,6 +180,11 @@ def test_certificate_matches_the_tuple_reference():
             start = (cell := rng.randrange(125)) - cell // step % 5 * step
             ds = DigitSet.from_code(ds.code | sum(1 << start + t * step for t in range(5)), n=5)
         cases.append((ds, rng.choice([m for m in range(1, 5) if len(ds) ** m <= 200_000])))
+    return cases
+
+
+def _certificate_disagreements(cases):
+    """(ds, depth, alpha) where the certificate and the tuple reference differ, and the certified count."""
     disagree, certified = [], 0
     for ds, depth in cases:
         vox = voxelize(ds, depth)
@@ -188,6 +193,40 @@ def test_certificate_matches_the_tuple_reference():
             certified += got
             if got != empty:
                 disagree.append((ds, depth, alpha))
+    return disagree, certified
+
+
+def test_certificate_matches_the_tuple_reference():
+    cases = _certificate_cases()
+    disagree, certified = _certificate_disagreements(cases)
+    assert disagree == []
+    assert 0 < certified < 26 * len(cases)
+
+
+def test_sparse_slabs_match_the_tuple_reference(monkeypatch):
+    # every side kept as a set of positions, the route taken beyond DENSE_SLAB_BITS
+    monkeypatch.setattr(oracle, "DENSE_SLAB_BITS", 0)
+    oracle._boundary_slabs.cache_clear()
+    try:
+        cases = _certificate_cases()
+        disagree, certified = _certificate_disagreements(cases)
+        assert all(isinstance(side, frozenset) for side in oracle._boundary_slabs(*cases[-1]).values())
+    finally:
+        oracle._boundary_slabs.cache_clear()
+    assert disagree == []
+    assert 0 < certified < 26 * len(cases)
+
+
+def test_certificate_at_depths_beyond_the_dense_span():
+    # grids whose two-free-axis sides span more than DENSE_SLAB_BITS positions,
+    # and a one-cell set whose one-free-axis sides do too; each within the cell budget
+    one_cell = DigitSet.from_digits([(0, 2, 1)])
+    cases = [(parse_digitset("000_022"), 12), (SEGMENT, 8), (one_cell, 40)]
+    for ds, depth in cases:
+        sides = oracle._boundary_slabs(ds, depth).values()
+        assert any(isinstance(side, frozenset) for side in sides), (ds, depth)
+        assert max(side.bit_length() for side in sides if isinstance(side, int)) <= oracle.DENSE_SLAB_BITS
+    disagree, certified = _certificate_disagreements(cases)
     assert disagree == []
     assert 0 < certified < 26 * len(cases)
 
