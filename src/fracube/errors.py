@@ -49,9 +49,5 @@ class InvalidRequest(FracubeError, ValueError):
     """Request parameters are out of range: enumeration sizes, workers, voxel depth."""
 
 
-class DepthTooSmall(FracubeError):
-    """Path enumeration did not stabilize within the depth limit."""
-
-
 class DataIntegrityError(FracubeError):
     """Bundled data file does not match its recorded checksum."""

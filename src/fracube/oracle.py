@@ -10,11 +10,11 @@ Two deliberately separate routes re-derive face facts from first principles:
   positions where the grid is too wide for one) built as the iterate of
   the digits on that side of the grid, and widens one side by a cell
   along every free axis;
-* breadth-first enumeration of label paths, memoized by (offset pair,
-  difference state), re-decides the full empty/one/many trichotomy without
-  the liveness precomputation or early-exit search used by the main path.
-  The label relation is solved per axis for each label step, and one
-  backward pass over it finds the offsets that start an infinite path.
+* a search over pairs of label paths re-decides the full empty/one/many
+  trichotomy without the main path's successor masks.  The label relation
+  is solved per axis for each label step, and one backward pass prunes it
+  to the offsets that start an infinite path; a worklist of (offset pair,
+  difference) states then looks for two paths whose points differ.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import DigitSet
-from .errors import BudgetExceeded, DepthTooSmall, InvalidRequest
+from .errors import BudgetExceeded, InvalidRequest
 from .faces import OFFSETS, offset_enc
 from . import faces
 
@@ -37,10 +37,6 @@ DEFAULT_CELL_BUDGET = 2_000_000
 # A boundary side whose packed positions span more bits than this is kept as
 # a set of positions instead of a bitmask (128 KiB a mask at most).
 DENSE_SLAB_BITS = 1 << 20
-
-# Paths of this length pass through more states than the pair automaton has,
-# so the frontier provably stabilizes within the cap.
-STABILIZATION_CAP = 26 * 26 * 27 + 1
 
 
 @dataclass(frozen=True)
@@ -212,60 +208,54 @@ def _label_edges(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _relation(ds: DigitSet) -> tuple[dict[Triple, list[tuple[Triple, Triple]]], frozenset[Triple]]:
-    """The label relation and the offsets that start a 26-step path.
+def _relation(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
+    """The label relation pruned to the offsets that start an infinite path.
 
     One backward pass for all starts: S_0 is every offset and S_{k+1} the
     offsets with an edge into S_k, so S_k starts a k-step path.  The sets
-    shrink, so a stable S equals S_26.
+    shrink, so they are stable by S_26, and every offset of the stable S
+    has an edge into S: S holds exactly the offsets that start an infinite
+    path.  They are the keys, each with its edges into S, so every listed
+    edge continues forever.
     """
     edges = _label_edges(ds)
-    alive = frozenset(OFFSETS)
-    for _ in range(26):
-        nxt = frozenset(u for u in alive if any(v in alive for _, v in edges[u]))
-        if nxt == alive:
-            break
-        alive = nxt
-    return edges, alive
+    alive = set(OFFSETS)
+    while dead := {u for u in alive if not any(v in alive for _, v in edges[u])}:
+        alive -= dead
+    return {u: [(d, v) for d, v in edges[u] if v in alive] for u in alive}
 
 
 def oracle_face_cardinality(ds: DigitSet, alpha: Triple) -> FaceCardinality:
-    """Re-decide #F(alpha) in {0, 1, >=2} by breadth-first path expansion.
+    """Re-decide #F(alpha) in {0, 1, >=2} by a worklist over pairs of paths.
 
-    A path of 26 steps must revisit an offset, so faces are nonempty iff a
-    26-step path exists.  Pairs of paths are expanded level by level with
-    their difference state; a pair that escapes {-1,0,1}^3 and still admits
-    26 more steps on both sides witnesses two distinct points.
+    F(alpha) is nonempty iff an infinite label path leaves alpha, that is
+    iff alpha is a key of the pruned relation.  Two paths from alpha are
+    followed together with the difference of their partial sums; a
+    difference that escapes {-1,0,1}^3 witnesses two distinct points, since
+    both paths continue forever.  The search ends: there are finitely many
+    pair states (26 * 26 * 27), and ``seen`` queues each at most once.
     """
     offset_enc(alpha)  # validate
     n = ds.n
-    edges, extendable = _relation(ds)
-    if alpha not in extendable:
+    edges = _relation(ds)
+    if alpha not in edges:
         return FaceCardinality.EMPTY
 
     # pair states: (offset of path 1, offset of path 2, difference of partial sums)
-    frontier: set[tuple[Triple, Triple, Triple]] = {(alpha, alpha, (0, 0, 0))}
-    visited = set(frontier)
-    for _ in range(STABILIZATION_CAP):
-        if not frontier:
-            return FaceCardinality.ONE
-        nxt = set()
-        for u1, u2, s in frontier:
-            for d1, v1 in edges[u1]:
-                if v1 not in extendable:
-                    continue
-                for d2, v2 in edges[u2]:
-                    if v2 not in extendable:
-                        continue
-                    ns = tuple(n * s[k] + d1[k] - d2[k] for k in range(3))
-                    if any(c < -1 or c > 1 for c in ns):
-                        return FaceCardinality.AT_LEAST_TWO
-                    state = (v1, v2, ns)
-                    if state not in visited:
-                        visited.add(state)
-                        nxt.add(state)
-        frontier = nxt
-    raise DepthTooSmall(f"pair frontier still growing after {STABILIZATION_CAP} levels")
+    start = (alpha, alpha, (0, 0, 0))
+    seen, todo = {start}, [start]
+    while todo:
+        u1, u2, s = todo.pop()
+        for d1, v1 in edges[u1]:
+            for d2, v2 in edges[u2]:
+                ns = tuple(n * s[k] + d1[k] - d2[k] for k in range(3))
+                if any(c < -1 or c > 1 for c in ns):
+                    return FaceCardinality.AT_LEAST_TWO
+                state = (v1, v2, ns)
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return FaceCardinality.ONE
 
 
 def export_cells(vox: VoxelSet) -> str:

@@ -112,3 +112,24 @@ def test_oracle_reads_no_kernel_tables():
     assert imported <= ORACLE_MAY_READ
     assert set().union(*reads.values()) <= ORACLE_MAY_READ
     assert {fn for fn, names in reads.items() if names & {"classify_face", "FaceKind"}} == {"faces_agree"}
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    """Names of the exceptions a module's ``raise`` statements construct or re-raise."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return names
+
+
+def test_every_error_class_is_raised():
+    # an error class no code raises documents a failure that cannot happen
+    errors = {"FracubeError"}
+    for node in ast.parse((SRC / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) in errors for b in node.bases):
+            errors.add(node.name)
+    assert len(errors) > 10
+    raised = set().union(*(_raised_names(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))))
+    assert sorted(errors - raised - {"FracubeError"}) == []

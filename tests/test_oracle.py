@@ -61,6 +61,11 @@ def test_voxel_budget():
         oracle_face_empty(TABLE2_FIRST, (1, 0, 0), 9)
     with pytest.raises(ValueError):
         oracle_face_empty(TABLE2_FIRST, (1, 0, 0), 0)
+    # a precomputed iterate must match the request's depth and digit set
+    vox = voxelize(TABLE2_FIRST, 2)
+    for ds, depth in ((TABLE2_FIRST, 3), (CORNERS, 2)):
+        with pytest.raises(ValueError, match="does not match"):
+            oracle_face_empty(ds, (1, 0, 0), depth, vox=vox)
 
 
 def _reference_voxel_cells(ds, depth):
@@ -274,8 +279,10 @@ def test_extendable_offsets_match_the_forward_reference():
               for n in (2, 3, 4) for _ in range(40)]
     sizes = set()
     for ds in cases:
-        edges, extendable = oracle._relation(ds)
+        edges, pruned = oracle._label_edges(ds), oracle._relation(ds)
+        extendable = set(pruned)
         assert extendable == {u for u in OFFSETS if _has_long_path(edges, u, 26)}, ds
+        assert pruned == {u: [(d, v) for d, v in edges[u] if v in extendable] for u in extendable}, ds
         sizes.add(len(extendable))
     assert 0 in sizes and len(sizes) > 5
 
@@ -314,13 +321,6 @@ def test_label_relation_built_once_per_digit_set(monkeypatch):
         for alpha in OFFSETS:
             assert oracle_face_cardinality(ds, alpha) is cold[ds, alpha], (ds, alpha)
         assert builds.count(ds) == 1, ds
-
-
-def test_depth_too_small(monkeypatch):
-    from fracube.errors import DepthTooSmall
-    monkeypatch.setattr(oracle, "STABILIZATION_CAP", 1)
-    with pytest.raises(DepthTooSmall):
-        oracle_face_cardinality(TABLE2_FIRST, (0, 0, 1))
 
 
 def test_export_cells_format():

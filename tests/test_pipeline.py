@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from math import comb
 
 import pytest
 
-from fracube.core import DigitSet, parse_digitset
+from fracube.core import DigitSet, canonical_form, parse_digitset
 from fracube.errors import InternalInconsistency, LabelConflict, UnknownCode
 from fracube.pipeline import (
     bundled_labels,
@@ -429,6 +430,21 @@ def test_corrupted_table_is_reported(full_report):
     assert len(summary.mismatches) == 3
     assert "not connected" in summary.mismatches[0]
     assert "parse failed" in summary.mismatches[1]
+
+
+def test_report_disagreements_are_reported(full_report):
+    row = bundled_labels()[0]
+    name = " ".join(row)
+    code = canonical_form(parse_digitset(row[1])).canonical.code
+    rec = next(r for r in full_report.classes if code in {d.code for d in (r.canonical, *r.translates)})
+    other = next(t.graph_code for t in full_report.graph_types if t.graph_code != rec.graph_code)
+    without = replace(full_report, classes=tuple(r for r in full_report.classes if r is not rec))
+    swapped = replace(full_report, classes=tuple(
+        replace(r, graph_code=other) if r is rec else r for r in full_report.classes))
+    assert verify_against_tables(without, (row,)).mismatches == (
+        f"{name}: canonical form missing from report",)
+    assert verify_against_tables(swapped, (row,)).mismatches == (
+        f"{name}: report code {other} differs from {rec.graph_code}",)
 
 
 def test_verify_builds_one_piece_graph_per_connected_row(full_report, graph_builds):

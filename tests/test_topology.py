@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
-from fracube.errors import Disconnected, OnePointViolation
+from fracube.errors import Disconnected, InternalInconsistency, OnePointViolation
 from fracube.faces import classify_face, face_point, offset_enc, tables_for_order
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
 from fracube.pipeline import bundled_labels
 from fracube.topology import (
     GraphCode,
+    PieceGraph,
     _piece_pairs,
     bipartite_graph,
     graph_code,
@@ -177,6 +178,15 @@ def test_dendrite_verdicts():
     assert is_dendrite(SEGMENT)
     with pytest.raises(Disconnected):
         is_dendrite(CORNERS)
+
+
+def test_dendrite_tree_tests_must_agree(monkeypatch):
+    # without triple points the simple tree test re-checks the bipartite one
+    for ds, simple in ((TABLE2_FIRST, False), (NONDEN1_FIRST, True)):
+        assert verify_no_triple_points(ds)
+        monkeypatch.setattr(PieceGraph, "is_tree", lambda self: simple)
+        with pytest.raises(InternalInconsistency, match="disagree"):
+            is_dendrite(ds)
 
 
 def test_graph_code_separates_path_and_star():
