@@ -5,11 +5,9 @@ Two deliberately separate routes re-derive face facts from first principles:
 * voxel iterates of the unit cube certify face *emptiness* (one-sided: the
   iterate contains the attractor, so disjoint closed cell unions prove the
   face empty, while overlap proves nothing).  Iterates are sets of packed
-  integers.  The certificate compares only the sides of the iterate that
-  face each other, each a bitmask over the free axes (a set of packed
-  positions where the grid is too wide for one) built as the iterate of
-  the digits on that side of the grid, and widens one side by a cell
-  along every free axis;
+  integers.  The certificate never builds one: it walks the difference of
+  a cell on each of the two sides of the iterate that face each other,
+  level by level, through at most 9 states in {-1,0,1}^2;
 * a search over pairs of label paths re-decides the full empty/one/many
   trichotomy without the main path's successor masks.  The label relation
   is solved per axis for each label step, and one backward pass prunes it
@@ -33,10 +31,6 @@ from . import faces
 Triple = tuple[int, int, int]
 
 DEFAULT_CELL_BUDGET = 2_000_000
-
-# A boundary side whose packed positions span more bits than this is kept as
-# a set of positions instead of a bitmask (128 KiB a mask at most).
-DENSE_SLAB_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,46 +80,36 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _boundary_slabs(ds: DigitSet, depth: int) -> dict[Triple, int | frozenset[int]]:
-    """offset alpha -> the near side of the depth-m iterate towards alpha.
+def _boundary_slabs(ds: DigitSet) -> dict[Triple, tuple[frozenset[int], frozenset[int]]]:
+    """offset alpha -> (steps, inside) of the certificate's difference walk.
 
-    Coordinate k of a cell is sum_i n^i d_{i,k} with every term in
+    Coordinate k of a depth-m cell is sum_i n^i d_{i,k} with every term in
     [0, n-1], so it is 0 exactly when every digit has d_k = 0 and
     n^m - 1 exactly when every digit has d_k = n - 1.  The near side of
     alpha (coordinate 0 where alpha_k > 0, n^m - 1 where alpha_k < 0) is
     therefore the iterate of the digits with d_k = 0, resp. n - 1, on every
-    pinned axis.  Its cells are projected onto the free axes and packed at
-    sum_i b^i c_{k_i} (free axes k_0 < k_1 ..., b = n^m + 1).  While those
-    positions span at most DENSE_SLAB_BITS, the side is one bitmask, and
-    each level ORs the mask shifted by the scaled packed digits; beyond that
-    it is the set of positions, so no request allocates more than its cells.
-    The far side of alpha is the near side of -alpha.
+    pinned axis, and the far side of alpha is the near side of -alpha.
+    Triples are packed as x + b*y + b^2*z with b = 4n.  ``steps`` holds the
+    differences u - w of a near digit u and a far digit w, less their
+    difference -alpha_k*(n-1) on each pinned axis, so only the free axes
+    remain; ``inside`` is {-1,0,1}^3, shared by every offset.  A component
+    of n*p + s with p inside lies in [1 - 2n, 2n - 1], within half the
+    base, so such a sum is inside exactly when every component is in
+    {-1,0,1}.  Nothing here depends on the depth.
     """
     n = ds.n
-    b = n ** depth + 1
-    near: dict[Triple, list[Triple]] = {alpha: [] for alpha in OFFSETS}
+    b = 4 * n
+    near: dict[Triple, list[int]] = {alpha: [] for alpha in OFFSETS}
     for d in ds.digits:
         sides = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in d]
         for alpha in itertools.product(*sides):
             if alpha != (0, 0, 0):
-                near[alpha].append(d)
-    out: dict[Triple, int | frozenset[int]] = {}
-    for alpha, digits in near.items():
-        weight, span = [0, 0, 0], 1
-        for k in range(3):
-            if not alpha[k]:
-                weight[k], span = span, span * b
-        packed = [d[0] * weight[0] + d[1] * weight[1] + d[2] * weight[2] for d in digits]
-        if span > DENSE_SLAB_BITS:
-            out[alpha] = frozenset(_iterate(packed, n, depth))
-            continue
-        mask, scale = 1, 1
-        for _ in range(depth):
-            level = 0
-            for p in packed:
-                level |= mask << scale * p
-            mask, scale = level, scale * n
-        out[alpha] = mask
+                near[alpha].append(d[0] + b * (d[1] + b * d[2]))
+    inside = frozenset(x + b * (y + b * z) for x, y, z in itertools.product((-1, 0, 1), repeat=3))
+    out: dict[Triple, tuple[frozenset[int], frozenset[int]]] = {}
+    for (x, y, z), side in near.items():
+        pinned = (n - 1) * (x + b * (y + b * z))
+        out[x, y, z] = frozenset(u - w + pinned for u in side for w in near[-x, -y, -z]), inside
     return out
 
 
@@ -142,16 +126,18 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     c sits on the grid side pointed at by alpha and c' on the opposite one
     (the axis difference n^m*alpha_k +/- 1 forces c_k = 0, c'_k = n^m - 1),
     and then they touch iff their free coordinates differ by at most 1 each.
-    So the near side from ``_boundary_slabs`` is widened by +/-1 on each
-    free axis (a shift by b^i each way) and the face is certified empty iff
-    the widened side misses the far one.  Coordinates are at most
-    n^m - 1 = b - 2, so a shifted position has its coordinates in
-    [-1, b - 1]; read modulo b from the lowest axis up, it equals a cell's
-    position only if every coordinate matches, because no cell holds slot
-    b - 1 (where a +/-1 step past the edge lands) and a step below bit 0 of
-    a bitmask falls off.  A spurious position thus never meets a cell, and
-    an UNKNOWN is never turned into a false certificate.  The full iterate
-    is never built; a ``vox`` passed in must match the request.
+    Those cells are c = sum_i n^i u_i and c' = sum_i n^i w_i over near and
+    far digits, and their free difference is read from the top level down
+    as P <- n*P + s with s = u_i - w_i from ``_boundary_slabs``.  With r
+    levels left the rest is at most n^r - 1 in absolute value, so a
+    component of P outside {-1,0,1} keeps that component of the difference
+    outside it: the cells touch iff some m-step walk from 0 stays inside.
+    The face is certified empty iff the set of reached states runs dry
+    within m levels.  A nonzero component of a state can only stay as it
+    is (n + s_k is inside only at 1, as |s_k| <= n - 1), so after k + 1
+    levels (k free axes) the set only grows, and a set equal to the
+    previous one stays for good: the walk stops there.  No iterate is
+    built; a ``vox`` passed in must match the request.
     """
     offset_enc(alpha)  # validate
     if vox is None:
@@ -159,21 +145,14 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     elif vox.digitset != ds or vox.depth != depth:
         raise ValueError("precomputed voxel set does not match the request")
     x, y, z = alpha
-    slabs = _boundary_slabs(ds, depth)
-    near, far = slabs[x, y, z], slabs[-x, -y, -z]
-    b = ds.n ** depth + 1
-    if isinstance(near, int):
-        step = 1
-        for c in (x, y, z):
-            if not c:
-                near |= near << step | near >> step
-                step *= b
-        touch = near & far
-    else:
-        steps = [b ** i for i in range((x, y, z).count(0))]
-        shifts = [sum(map(int.__mul__, signs, steps)) for signs in itertools.product((-1, 0, 1), repeat=len(steps))]
-        touch = near and far and any(not far.isdisjoint(map(s.__add__, near)) for s in shifts)
-    return EmptinessCheck.UNKNOWN if touch else EmptinessCheck.CERTIFIED_EMPTY
+    n = ds.n
+    steps, inside = _boundary_slabs(ds)[x, y, z]
+    states, last = steps & inside, None  # level 1: from 0, step s reaches s
+    for _ in range(depth - 1):
+        if not states or states == last:
+            break
+        states, last = {t for p in states for s in steps if (t := n * p + s) in inside}, states
+    return EmptinessCheck.UNKNOWN if states else EmptinessCheck.CERTIFIED_EMPTY
 
 
 class FaceCardinality(enum.Enum):

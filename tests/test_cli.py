@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -11,7 +12,8 @@ import pytest
 
 from fracube import cli
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args):
@@ -206,3 +208,45 @@ def test_verify_reports_a_contradicted_certificate(full_report, monkeypatch, tmp
     lines = target.read_text().splitlines()
     assert "1756/2730 faces certified empty, 1756 contradicted" in lines
     assert sum(line.startswith("oracle contradiction: ") for line in lines) == 1756
+
+
+def test_verify_reports_an_oracle_disagreement(full_report, monkeypatch, tmp_path):
+    # a path oracle that disagrees on one face fails the sweep and names it
+    monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
+    label, text = cli.pipeline.bundled_labels()[0]
+    first, agree = cli.parse_digitset(text), cli.oracle.faces_agree
+    monkeypatch.setattr(cli.oracle, "faces_agree",
+                        lambda ds, alpha: (ds, alpha) != (first, (1, 1, 1)) and agree(ds, alpha))
+    target = tmp_path / "verify.txt"
+    args = argparse.Namespace(workers=1, skip_oracle=False, out=str(target))
+    assert cli.cmd_verify(args) == 1
+    lines = target.read_text().splitlines()
+    assert "2729/2730 face checks agreed" in lines
+    assert [line for line in lines if line.startswith("oracle disagreement: ")] == [
+        f"oracle disagreement: {label} {text} at (1, 1, 1)"]
+
+
+def test_readme_synopsis_matches_the_parser():
+    # each subcommand's line in README's synopsis block names its positionals,
+    # every option string of the parser and, where the parser has them, the choices
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    synopsis, command = {}, None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["fracube"]:
+            command, words = words[1], words[2:]
+        if command:
+            synopsis[command] = synopsis.get(command, "") + " " + " ".join(words)
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert synopsis.keys() == subcommands.keys()
+    for name, sub in subcommands.items():
+        text = synopsis[name]
+        shown = dict(re.findall(r"\[(--[\w-]+)(?: ([^\]]+))?\]", text))
+        options = {a.option_strings[-1]: a for a in sub._actions if a.option_strings and a.dest != "help"}
+        assert shown.keys() == options.keys(), name
+        positionals = re.sub(r"\[[^\]]*\]", "", text).split()
+        assert positionals == [a.dest.upper() for a in sub._actions if not a.option_strings], name
+        for option, value in shown.items():
+            if options[option].choices:
+                assert value.split("|") == list(options[option].choices), (name, option)

@@ -86,6 +86,10 @@ def test_parse_errors():
         parse_digitset("")
     with pytest.raises(OutOfRange):
         parse_digitset("021", n=2)
+    with pytest.raises(ParseError, match="unbalanced braces"):
+        parse_digitset("{(0,0,0)")
+    with pytest.raises(ParseError, match="at least one digit"):
+        DigitSet.from_digits([])
 
 
 def test_render_round_trip():

@@ -208,32 +208,30 @@ def test_certificate_matches_the_tuple_reference():
     assert 0 < certified < 26 * len(cases)
 
 
-def test_sparse_slabs_match_the_tuple_reference(monkeypatch):
-    # every side kept as a set of positions, the route taken beyond DENSE_SLAB_BITS
-    monkeypatch.setattr(oracle, "DENSE_SLAB_BITS", 0)
-    oracle._boundary_slabs.cache_clear()
-    try:
-        cases = _certificate_cases()
-        disagree, certified = _certificate_disagreements(cases)
-        assert all(isinstance(side, frozenset) for side in oracle._boundary_slabs(*cases[-1]).values())
-    finally:
-        oracle._boundary_slabs.cache_clear()
-    assert disagree == []
-    assert 0 < certified < 26 * len(cases)
-
-
-def test_certificate_at_depths_beyond_the_dense_span():
-    # grids whose two-free-axis sides span more than DENSE_SLAB_BITS positions,
-    # and a one-cell set whose one-free-axis sides do too; each within the cell budget
+def test_certificate_at_deep_levels():
+    # depths where the grid is far wider than the iterate: a two-digit set,
+    # a segment, and one cell at a depth no larger set reaches within the budget
     one_cell = DigitSet.from_digits([(0, 2, 1)])
     cases = [(parse_digitset("000_022"), 12), (SEGMENT, 8), (one_cell, 40)]
-    for ds, depth in cases:
-        sides = oracle._boundary_slabs(ds, depth).values()
-        assert any(isinstance(side, frozenset) for side in sides), (ds, depth)
-        assert max(side.bit_length() for side in sides if isinstance(side, int)) <= oracle.DENSE_SLAB_BITS
     disagree, certified = _certificate_disagreements(cases)
     assert disagree == []
     assert 0 < certified < 26 * len(cases)
+
+
+def test_certificate_settles_by_level_three():
+    # a nonzero component of a walk state never changes, so past level k + 1
+    # the reached set only grows: depth 3 decides every deeper certificate
+    rng = random.Random(83)
+    cases = [parse_digitset(text) for _, text in bundled_labels()[::7]]
+    cases += [random_digitset(rng, n=n, size=rng.randrange(1, 7)) for n in (2, 3, 4, 5) for _ in range(10)]
+    cases.append(parse_digitset("000_022"))
+    shallow = {(ds, alpha): oracle_face_empty(ds, alpha, 3) for ds in cases for alpha in OFFSETS}
+    for depth in (4, 7, 20):
+        deep = {(ds, alpha): oracle_face_empty(ds, alpha, depth)
+                for ds in cases if len(ds) ** depth <= oracle.DEFAULT_CELL_BUDGET for alpha in OFFSETS}
+        assert deep == {key: shallow[key] for key in deep}, depth
+        assert len(deep) >= 26 * 8
+    assert EmptinessCheck.CERTIFIED_EMPTY in shallow.values() and EmptinessCheck.UNKNOWN in shallow.values()
 
 
 def _reference_label_edges(ds):

@@ -31,6 +31,9 @@ TABLE2_FIRST = parse_digitset("020_101_110_111_112_121_202")
 NONDEN1_FIRST = parse_digitset("012_021_102_111_120_201_210")
 TABLE_7_6 = parse_digitset("002_100_101_102_111_121_202")
 FULL = DigitSet.from_code((1 << 27) - 1)
+# a dendrite with one point in three pieces, and a set of the same graph code without one
+TRIPLE_POINT = parse_digitset("200_120_220_101_201_011_211_021_002")
+TRIPLE_POINT_TWIN = parse_digitset("000_110_120_220_011_111_021_221_102")
 
 
 def brute_isomorphic(n, e1, e2):
@@ -152,6 +155,7 @@ def test_point_multiplicity_matches_direct_count():
         DigitSet.from_digits([(0, 0, 0), (1, 1, 0), (1, 0, 0)], n=2),
         SEGMENT,
         TABLE2_FIRST,
+        TRIPLE_POINT,
     ]
     exercised = 0
     for ds in fixtures:
@@ -169,6 +173,21 @@ def test_point_multiplicity_matches_direct_count():
         assert verify_no_triple_points(ds) == all(len(v) == 2 for v in direct.values())
         assert sorted(len(v) for v in direct.values()) == sorted(bg.point_degrees())
     assert exercised >= 2
+
+
+def test_triple_point_separates_graph_code_twins():
+    # both piece graphs are the same 9-edge simple graph with a cycle; the
+    # triple point turns that cycle into a star in the piece-point graph
+    code = graph_code(intersection_graph(TRIPLE_POINT))
+    assert code == graph_code(intersection_graph(TRIPLE_POINT_TWIN))
+    assert code.hex == "9:53c900200"
+    for ds, degrees, dendrite in ((TRIPLE_POINT, [2] * 6 + [3], True), (TRIPLE_POINT_TWIN, [2] * 9, False)):
+        graph = intersection_graph(ds)
+        assert len({(i, j) for i, j, _, _ in graph.edges}) == len(graph.edges) == 9
+        assert not graph.is_tree()
+        assert sorted(bipartite_graph(ds).point_degrees()) == degrees
+        assert verify_no_triple_points(ds) is (degrees == [2] * 9)
+        assert is_dendrite(ds) is dendrite
 
 
 def test_dendrite_verdicts():
