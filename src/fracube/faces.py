@@ -91,6 +91,9 @@ class _Tables:
                 if 0 <= ax < n and 0 <= ay < n and 0 <= az < n:
                     pair_off[(ax + n * ay + n * n * az) * ncells + b] = offset_enc(v)
         self.pair_off = bytes(pair_off)
+        # near[a]: bitmask of the cells b with pair_off[a * ncells + b] != 255
+        self.near = [sum(1 << b for b in range(ncells) if pair_off[a * ncells + b] != 255)
+                     for a in range(ncells)]
 
         # pair_diff[a * ncells + b] = encoded digit(a) - digit(b), the index into
         # next2; the encoding is linear, so it is a difference of per-cell terms

@@ -10,12 +10,12 @@ from per-slice lookup tables, which also give the orbit size.  The walk
 tests the high slices first: when a symmetry that maps the cells below a
 slice boundary onto themselves already maps the code's high part to a
 smaller one, every code with that high part is skipped unseen.  The
-minimal codes are filtered by connectivity and then by the one-point
-intersection property.  Orbits whose digit sets are translates of each
-other inside the grid have translated attractors, so by default they are
-merged into one isometry class.  Workers own disjoint chunks and return
-mergeable partial results, so the resulting report is byte-identical for
-any worker count.
+minimal codes are filtered by connectivity, decided by a flood over the
+code's own cell bits, and then by the one-point intersection property.
+Orbits whose digit sets are translates of each other inside the grid have
+translated attractors, so by default they are merged into one isometry
+class.  Workers own disjoint chunks and return mergeable partial results,
+so the resulting report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -61,9 +60,9 @@ from .faces import (
 from .topology import (
     GraphCode,
     _bipartite,
-    _connected,
     _dendrite,
     _piece_pairs,
+    _spans,
     graph_code,
     intersection_graph,
     is_connected,
@@ -216,9 +215,13 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     minima, with the caller's ``count`` of the codes it covers; each code's
     own cells are its pieces.  Potential adjacency first, then automaton
     liveness for exact connectivity, then the product search for the
-    one-point property.  The last two are the kernel behind
-    :func:`fracube.faces.classify_face`.  All three are invariant under the
-    cube group, so a minimum's verdict holds for its whole orbit.
+    one-point property.  Both connectivity tests are one flood over the
+    code's cell bits, :func:`fracube.topology._spans`, through every offset
+    and then through the live ones; the piece-pair list is built only for
+    the codes that pass, to name the realized live offsets the product
+    search reads.  Liveness and the product search are the kernel behind
+    :func:`fracube.faces.classify_face`.  All three tests are invariant
+    under the cube group, so a minimum's verdict holds for its whole orbit.
     """
     n, _, first, count = args
     tables = tables_for_order(n)
@@ -226,6 +229,10 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
 
     survivors: dict[int, int] = {}
     for this, orbit_size in _orbit_representatives(n, first):
+        # potential adjacency: digit differences inside {-1,0,1}^3
+        if not _spans(this, -1, tables):
+            continue
+
         cells = []
         rest = this
         while rest:
@@ -233,20 +240,15 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
             cells.append(low.bit_length() - 1)
             rest ^= low
 
-        # potential adjacency: digit differences inside {-1,0,1}^3
-        pairs = _piece_pairs(cells, tables)
-        if not _connected(len(cells), pairs):
-            continue
-
-        # exact connectivity: keep only offsets whose face is nonempty
+        # exact connectivity: step only through offsets whose face is nonempty
         live = scc_live(_successors(cells, tables))
-        pairs = [p for p in pairs if live >> p[2] & 1]
-        if not _connected(len(cells), pairs):
+        if not _spans(this, live, tables):
             continue
 
         # one-point property: no live realized offset may carry two points
         edges = _live_edges(cells, live, tables)
-        if any(_escape_reachable(edges, off, tables) for off in {p[2] for p in pairs}):
+        offsets = {off for *_, off in _piece_pairs(cells, tables) if live >> off & 1}
+        if any(_escape_reachable(edges, off, tables) for off in offsets):
             continue
 
         survivors[this] = orbit_size
@@ -335,6 +337,8 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     if workers == 1:
         results = [_scan_chunk(chunk) for chunk in chunks]
     else:
+        import multiprocessing  # only here: importing it costs every process a few ms
+
         tables_for_order(n)  # build shared tables before forking
         _orbit_tables(n)
         with multiprocessing.Pool(processes=workers) as pool:

@@ -48,6 +48,32 @@ def _connected(n_vertices: int, edges) -> bool:
     return _component(adj) == (1 << n_vertices) - 1
 
 
+def _spans(code: int, live: int, tables) -> bool:
+    """Whether the pieces of occupancy ``code`` are connected through ``live`` offsets.
+
+    Floods from the lowest cell of ``code`` through its cells, stepping
+    ``a -> b`` when ``b`` is in ``near[a]`` and ``live`` has the bit of the
+    offset ``digit(a) - digit(b)``; ``live = -1`` admits every offset.  The
+    steps are symmetric because ``F(-v) = F(v) - v``: a live mask is closed
+    under negation.  ``_connected`` over ``_piece_pairs`` is the reference.
+    """
+    near, pair_off, ncells = tables.near, tables.pair_off, tables.ncells
+    reached = frontier = code & -code
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        a = low.bit_length() - 1
+        row = a * ncells
+        rest = near[a] & code & ~reached
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if live >> pair_off[row + b.bit_length() - 1] & 1:
+                reached |= b
+                frontier |= b
+    return reached == code
+
+
 @dataclass(frozen=True)
 class PieceGraph:
     """Simple graph on the pieces; edges carry the offset and face class."""

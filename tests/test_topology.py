@@ -6,13 +6,15 @@ import pytest
 
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
 from fracube.errors import Disconnected, InternalInconsistency, OnePointViolation
-from fracube.faces import classify_face, face_point, offset_enc, tables_for_order
+from fracube.faces import build_automaton, classify_face, face_point, offset_enc, tables_for_order
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
 from fracube.pipeline import bundled_labels
 from fracube.topology import (
     GraphCode,
     PieceGraph,
+    _connected,
     _piece_pairs,
+    _spans,
     bipartite_graph,
     graph_code,
     graph_code_from_edges,
@@ -63,6 +65,40 @@ def test_piece_pairs_match_digit_differences():
             if any(alpha) and all(-1 <= c <= 1 for c in alpha):
                 expected.append((i, j, offset_enc(alpha)))
         assert _piece_pairs(ds.cells(), tables_for_order(ds.n)) == expected, ds
+
+
+def test_spans_matches_the_pair_list_route():
+    # the scan's cell-mask flood against _connected over _piece_pairs (every
+    # offset) and against is_connected (the live mask)
+    rng = random.Random(1931)
+    seen = set()
+    for n in range(2, 6):
+        tables = tables_for_order(n)
+        ncells = n ** 3
+        cases = [1 << rng.randrange(ncells) for _ in range(5)]
+        for k in range(150):
+            size = rng.randrange(2, min(ncells, 30) + 1)
+            if k % 3 == 0:
+                code = sum(1 << c for c in rng.sample(range(ncells), size))
+            else:
+                code = _grown_digitset(rng, n, size).code
+            if k % 3 == 2:
+                # one cell that no other cell is near
+                lone = rng.randrange(ncells)
+                code = code & ~tables.near[lone] | 1 << lone
+            cases.append(code)
+        for code in cases:
+            ds = DigitSet.from_code(code, n=n)
+            cells = ds.cells()
+            potential = _spans(code, -1, tables)
+            assert potential == _connected(len(cells), _piece_pairs(cells, tables)), ds
+            exact = _spans(code, build_automaton(ds)[0], tables)
+            assert exact == is_connected(ds), ds
+            seen.add((n, potential, exact))
+    # at order 2 any two cells are near and every digit set is connected; the
+    # other orders have sets apart, sets near but not touching, and connected sets
+    assert {(p, e) for m, p, e in seen if m == 2} == {(True, True)}
+    assert seen >= {(n, p, e) for n in range(3, 6) for p, e in ((False, False), (True, False), (True, True))}
 
 
 def test_is_connected_classifies_no_face():
