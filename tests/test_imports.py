@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracube"
@@ -19,6 +22,15 @@ def _unused_imports(path: Path) -> list[str]:
             exported.update(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted(imported - read - exported)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only classify_all's worker pool needs it, and it costs every process a few ms
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fracube.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_no_unused_imports():

@@ -272,32 +272,39 @@ def test_scan_agrees_with_public_filters():
     from fracube.core import canonical_code, canonical_form
     import random
     rng = random.Random(71)
-    runs = [_run_from(_near_run_end(rng, h, 7, 400), 400) for h in rng.sample(range(12, 27), 4)]
+    runs = [(3, 7, _run_from(_near_run_end(rng, h, 7, 400), 400)) for h in rng.sample(range(12, 27), 4)]
     # survivor representatives near the end of their run, so that some expectation is not empty
     canon = sorted({canonical_code(parse_digitset(text).code, 3) for _, text in bundled_labels()})
-    runs += [codes for code in canon if (codes := _run_from(code, 2500))]
-    verdicts: dict[int, bool] = {}
+    runs += [(3, 7, codes) for code in canon if (codes := _run_from(code, 2500))]
+    # whole runs at orders 2 and 4, where the scan's tables have other sizes;
+    # at order 2, every code with 2 to 5 cells
+    runs += [(2, k, _run_from((1 << k - 1) - 1 | 1 << h, 400)) for k in (2, 3, 4, 5) for h in range(k - 1, 8)]
+    # at order 4, the three runs of 4-cell codes that hold survivors (two axis
+    # lines and a face diagonal) and two runs without any
+    runs += [(4, k, _run_from((1 << k - 1) - 1 | 1 << h, 400))
+             for k, h in ((3, 21), (4, 3), (4, 7), (4, 12), (5, 11))]
+    verdicts: dict[tuple[int, int], bool] = {}
 
-    def verdict(code):
-        if code not in verdicts:
-            ds = DigitSet.from_code(code)
-            verdicts[code] = is_connected(ds) and has_one_point_property(ds)
-        return verdicts[code]
+    def verdict(code, n):
+        if (code, n) not in verdicts:
+            ds = DigitSet.from_code(code, n=n)
+            verdicts[code, n] = is_connected(ds) and has_one_point_property(ds)
+        return verdicts[code, n]
 
-    nonempty = 0
-    for codes in runs:
-        survivors, count = _scan_chunk((3, 7, codes[0], len(codes)))
+    nonempty = dict.fromkeys((2, 3, 4), 0)
+    for n, k, codes in runs:
+        survivors, count = _scan_chunk((n, k, codes[0], len(codes)))
         assert count == len(codes)
         expected: dict[int, int] = {}
         for code in codes:
-            canon = canonical_code(code, 3)
+            canon = canonical_code(code, n)
             # the filters are invariant under the cube group
-            assert verdict(code) == verdict(canon)
-            if canon == code and verdict(code):
-                expected[code] = canonical_form(DigitSet.from_code(code)).orbit_size
-        assert survivors == expected
-        nonempty += bool(expected)
-    assert nonempty >= 3
+            assert verdict(code, n) == verdict(canon, n)
+            if canon == code and verdict(code, n):
+                expected[code] = canonical_form(DigitSet.from_code(code, n=n)).orbit_size
+        assert survivors == expected, (n, k, codes[0])
+        nonempty[n] += bool(expected)
+    assert nonempty[3] >= 3 and nonempty[2] >= 3 and nonempty[4] == 3
 
 
 def test_orbit_representatives_partition_codes():
