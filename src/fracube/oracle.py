@@ -48,13 +48,6 @@ class VoxelSet:
         return frozenset((p // (b * b), p // b % b, p % b) for p in self.packed)
 
 
-def _check_request(ds: DigitSet, depth: int) -> None:
-    if depth < 1:
-        raise InvalidRequest("depth must be >= 1")
-    if len(ds) ** depth > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {DEFAULT_CELL_BUDGET}")
-
-
 def _iterate(packed: Sequence[int], n: int, depth: int) -> list[int]:
     """The sums sum_i n^i p_i over the depth-letter words of the packed digits p.
 
@@ -72,7 +65,10 @@ def _iterate(packed: Sequence[int], n: int, depth: int) -> list[int]:
 
 def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     """Union of all depth-digit subdivision cells of the digit set."""
-    _check_request(ds, depth)
+    if depth < 1:
+        raise InvalidRequest("depth must be >= 1")
+    if len(ds) ** depth > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {DEFAULT_CELL_BUDGET}")
     b = ds.n ** depth + 1
     out = frozenset(_iterate([(d[0] * b + d[1]) * b + d[2] for d in ds.digits], ds.n, depth))
     assert len(out) == len(ds) ** depth
@@ -136,13 +132,13 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     within m levels.  A nonzero component of a state can only stay as it
     is (n + s_k is inside only at 1, as |s_k| <= n - 1), so after k + 1
     levels (k free axes) the set only grows, and a set equal to the
-    previous one stays for good: the walk stops there.  No iterate is
-    built; a ``vox`` passed in must match the request.
+    previous one stays for good: the walk stops there.  It builds no cells,
+    so no cell budget applies; a ``vox`` passed in must match the request.
     """
     offset_enc(alpha)  # validate
-    if vox is None:
-        _check_request(ds, depth)
-    elif vox.digitset != ds or vox.depth != depth:
+    if depth < 1:
+        raise InvalidRequest("depth must be >= 1")
+    if vox is not None and (vox.digitset != ds or vox.depth != depth):
         raise ValueError("precomputed voxel set does not match the request")
     x, y, z = alpha
     n = ds.n
@@ -215,6 +211,7 @@ def oracle_face_cardinality(ds: DigitSet, alpha: Triple) -> FaceCardinality:
     pair states (26 * 26 * 27), and ``seen`` queues each at most once.
     """
     offset_enc(alpha)  # validate
+    alpha = tuple(alpha)
     n = ds.n
     edges = _relation(ds)
     if alpha not in edges:

@@ -60,6 +60,7 @@ from .faces import (
 from .topology import (
     GraphCode,
     _bipartite,
+    _component,
     _dendrite,
     _piece_pairs,
     _spans,
@@ -215,22 +216,23 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     minima, with the caller's ``count`` of the codes it covers; each code's
     own cells are its pieces.  Potential adjacency first, then automaton
     liveness for exact connectivity, then the product search for the
-    one-point property.  Both connectivity tests are one flood over the
-    code's cell bits, :func:`fracube.topology._spans`, through every offset
-    and then through the live ones; the piece-pair list is built only for
-    the codes that pass, to name the realized live offsets the product
-    search reads.  Liveness and the product search are the kernel behind
-    :func:`fracube.faces.classify_face`.  All three tests are invariant
-    under the cube group, so a minimum's verdict holds for its whole orbit.
+    one-point property.  Both connectivity tests flood the code's cell bits:
+    :func:`fracube.topology._component` through whole ``near`` masks, then
+    :func:`fracube.topology._spans` through the live offsets; the piece-pair
+    list is built only for the codes that pass, to name the realized live
+    offsets the product search reads.  Liveness and the product search are
+    the kernel behind :func:`fracube.faces.classify_face`.  All three tests
+    are invariant under the cube group, so a minimum's verdict holds for its
+    whole orbit.
     """
     n, _, first, count = args
     tables = tables_for_order(n)
-    scc_live = _scc_live
+    near, scc_live = tables.near, _scc_live
 
     survivors: dict[int, int] = {}
     for this, orbit_size in _orbit_representatives(n, first):
         # potential adjacency: digit differences inside {-1,0,1}^3
-        if not _spans(this, -1, tables):
+        if _component(near, this & -this, this) != this:
             continue
 
         cells = []

@@ -24,16 +24,16 @@ def _piece_pairs(cells, tables) -> list[tuple[int, int, int]]:
             if (off := pair_off[ci * ncells + cells[j]]) != 255]
 
 
-def _component(adj: list[int]) -> int:
-    """Bitmask of the vertices reachable from vertex 0 (adjacency bitmasks)."""
-    comp = frontier = 1
+def _component(adj: list[int], start: int, within: int) -> int:
+    """Vertices of ``within`` reachable from ``start``; vertex sets and ``adj`` rows are bitmasks."""
+    comp = frontier = start
     while frontier:
         nxt = 0
         while frontier:
             low = frontier & -frontier
             nxt |= adj[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~comp
+        frontier = nxt & within & ~comp
         comp |= frontier
     return comp
 
@@ -45,7 +45,7 @@ def _connected(n_vertices: int, edges) -> bool:
         a, b = e[0], e[1]
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return _component(adj) == (1 << n_vertices) - 1
+    return _component(adj, 1, (1 << n_vertices) - 1).bit_count() == n_vertices
 
 
 def _spans(code: int, live: int, tables) -> bool:
@@ -53,9 +53,9 @@ def _spans(code: int, live: int, tables) -> bool:
 
     Floods from the lowest cell of ``code`` through its cells, stepping
     ``a -> b`` when ``b`` is in ``near[a]`` and ``live`` has the bit of the
-    offset ``digit(a) - digit(b)``; ``live = -1`` admits every offset.  The
-    steps are symmetric because ``F(-v) = F(v) - v``: a live mask is closed
-    under negation.  ``_connected`` over ``_piece_pairs`` is the reference.
+    offset ``digit(a) - digit(b)``.  The steps are symmetric because
+    ``F(-v) = F(v) - v``: a live mask is closed under negation.  Tests hold
+    it to ``PieceGraph.is_connected_graph``.
     """
     near, pair_off, ncells = tables.near, tables.pair_off, tables.ncells
     reached = frontier = code & -code
@@ -115,11 +115,10 @@ def piece_adjacency(ds: DigitSet) -> PieceGraph:
 def is_connected(ds: DigitSet) -> bool:
     """Hata criterion: the attractor is connected iff the piece graph is.
 
-    Pieces i and j meet iff d_i - d_j is live (has a nonempty face).
+    Pieces i and j meet iff d_i - d_j is live (has a nonempty face), so this
+    is the cell flood :func:`_spans` through ``build_automaton``'s live mask.
     """
-    live, _ = build_automaton(ds)
-    pairs = _piece_pairs(ds.cells(), tables_for_order(ds.n))
-    return _connected(len(ds), [p for p in pairs if live >> p[2] & 1])
+    return _spans(ds.code, build_automaton(ds)[0], tables_for_order(ds.n))
 
 
 def has_one_point_property(ds: DigitSet) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -250,3 +252,22 @@ def test_readme_synopsis_matches_the_parser():
         for option, value in shown.items():
             if options[option].choices:
                 assert value.split("|") == list(options[option].choices), (name, option)
+
+
+def test_readme_library_block_runs_as_commented():
+    # README's Library example runs as written, and each bare expression in it
+    # equals the value in its comment
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library", 1)[1].split("```python\n")[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            comment = lines[node.end_lineno - 1].split("#", 1)[1].strip()
+            assert value == eval(comment, {"Fraction": Fraction}), comment
+            checked.append(comment)
+        else:
+            exec(compile(ast.Module(body=[node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked == ["(Fraction(1, 2), Fraction(1, 2), Fraction(1, 1))", "True"]

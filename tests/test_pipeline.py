@@ -264,11 +264,11 @@ def _run_from(code: int, most: int) -> list[int] | None:
 
 
 def test_scan_agrees_with_public_filters():
-    # the tuned scan must reproduce is_connected + has_one_point_property on
-    # every orbit minimum from its first code to the end of its run, with
-    # canonical_form's orbit size
+    # the tuned scan must reproduce the classified piece graph's connectivity
+    # and one-point property on every orbit minimum from its first code to the
+    # end of its run, with canonical_form's orbit size
     from fracube.pipeline import _scan_chunk
-    from fracube.topology import has_one_point_property, is_connected
+    from fracube.topology import piece_adjacency
     from fracube.core import canonical_code, canonical_form
     import random
     rng = random.Random(71)
@@ -287,8 +287,8 @@ def test_scan_agrees_with_public_filters():
 
     def verdict(code, n):
         if (code, n) not in verdicts:
-            ds = DigitSet.from_code(code, n=n)
-            verdicts[code, n] = is_connected(ds) and has_one_point_property(ds)
+            graph = piece_adjacency(DigitSet.from_code(code, n=n))
+            verdicts[code, n] = graph.is_connected_graph() and graph.is_one_point()
         return verdicts[code, n]
 
     nonempty = dict.fromkeys((2, 3, 4), 0)
@@ -322,6 +322,22 @@ def test_orbit_representatives_partition_codes():
         for code, size in reps.items():
             assert size == canonical_form(DigitSet.from_code(code, n=n)).orbit_size, (n, N, code)
         assert sum(reps.values()) == total, (n, N)
+
+
+def test_scan_flood_funnel_at_3_7():
+    # README's (3, 7) funnel: the orbit minima of every run, those whose cells
+    # are linked through whole near masks, and those linked through live offsets
+    from fracube.faces import _scc_live, _successors, tables_for_order
+    from fracube.pipeline import _orbit_representatives
+    from fracube.topology import _component, _spans
+    tables = tables_for_order(3)
+    reps: dict[int, int] = {}
+    for h in range(6, 27):
+        reps.update(_orbit_representatives(3, 0b111111 | 1 << h))
+    near = [c for c in reps if _component(tables.near, c & -c, c) == c]
+    live = [c for c in near if _spans(c, _scc_live(_successors(DigitSet.from_code(c).cells(), tables)), tables)]
+    assert (len(reps), len(near), len(live)) == (19587, 13207, 132)
+    assert sum(reps.values()) == comb(27, 7) == 888030
 
 
 def _reference_orbit_representatives(n: int, first: int):

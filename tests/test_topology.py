@@ -12,6 +12,7 @@ from fracube.pipeline import bundled_labels
 from fracube.topology import (
     GraphCode,
     PieceGraph,
+    _component,
     _connected,
     _piece_pairs,
     _spans,
@@ -68,8 +69,9 @@ def test_piece_pairs_match_digit_differences():
 
 
 def test_spans_matches_the_pair_list_route():
-    # the scan's cell-mask flood against _connected over _piece_pairs (every
-    # offset) and against is_connected (the live mask)
+    # the scan's cell floods against the pair-list routes: _component over
+    # whole near masks against _connected over _piece_pairs, and _spans with
+    # the live mask against the classified piece graph
     rng = random.Random(1931)
     seen = set()
     for n in range(2, 6):
@@ -90,10 +92,10 @@ def test_spans_matches_the_pair_list_route():
         for code in cases:
             ds = DigitSet.from_code(code, n=n)
             cells = ds.cells()
-            potential = _spans(code, -1, tables)
+            potential = _component(tables.near, code & -code, code) == code
             assert potential == _connected(len(cells), _piece_pairs(cells, tables)), ds
             exact = _spans(code, build_automaton(ds)[0], tables)
-            assert exact == is_connected(ds), ds
+            assert exact == piece_adjacency(ds).is_connected_graph(), ds
             seen.add((n, potential, exact))
     # at order 2 any two cells are near and every digit set is connected; the
     # other orders have sets apart, sets near but not touching, and connected sets
