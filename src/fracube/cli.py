@@ -12,8 +12,8 @@ from .errors import FracubeError
 from .faces import OFFSETS, classify_face
 
 # Voxel depth of the emptiness certificate in `verify`.  Its walk settles by
-# level 3, so every depth from 3 on certifies the same 1756 of the 2730 table
-# faces (depth 2 does too on these rows, depth 1 only 1652).
+# level 3, so every depth from 3 on certifies exactly the empty faces: 1756 of
+# the 2730 table faces (depth 2 does too on these rows, depth 1 only 1652).
 CERTIFICATE_DEPTH = 4
 
 
@@ -106,11 +106,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     agreed += 1
                 else:
                     failures.append(f"{label} {text} at {alpha}")
-                empty = oracle.oracle_face_empty(ds, alpha, CERTIFICATE_DEPTH)
-                if empty is oracle.EmptinessCheck.CERTIFIED_EMPTY:
-                    certified += 1
-                    if not classify_face(ds, alpha).is_empty:
-                        contradictions.append(f"{label} {text} at {alpha}")
+                certified_empty = (oracle.oracle_face_empty(ds, alpha, CERTIFICATE_DEPTH)
+                                   is oracle.EmptinessCheck.CERTIFIED_EMPTY)
+                certified += certified_empty
+                if certified_empty != classify_face(ds, alpha).is_empty:
+                    contradictions.append(f"{label} {text} at {alpha}")
         lines.append(f"{agreed}/{26 * summary.total} face checks agreed")
         lines.append(f"{certified}/{26 * summary.total} faces certified empty, "
                      f"{len(contradictions)} contradicted")

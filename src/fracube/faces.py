@@ -33,6 +33,9 @@ _OFFSET_CODES: dict[Triple, int] = {
     (e % 3 - 1, e // 3 % 3 - 1, e // 9 - 1): e for e in range(27) if e != ZERO_ENC
 }
 OFFSETS: tuple[Triple, ...] = tuple(_OFFSET_CODES)
+# Offset codes by decreasing support size.  An edge u -> n*u + d' - d keeps
+# u's nonzero coordinates (|d'_k - d_k| < n): it is a self-loop or ends at a larger support.
+_BY_SUPPORT = tuple(_OFFSET_CODES[v] for v in sorted(OFFSETS, key=lambda v: v.count(0)))
 
 
 def offset_enc(v: Triple) -> int:
@@ -123,25 +126,15 @@ def _successors(cells, tables: _Tables) -> list[int]:
 def _scc_live(succ: list[int]) -> int:
     """Bitmask of offsets with an infinite outgoing path.
 
-    The greatest fixpoint of "has a live successor": start with every offset
-    that has a successor and drop those whose successors are all dead until
-    a pass drops nothing.  The name predates the fixpoint; the benchmark's
-    trace wraps ``pipeline._scc_live`` under it.
+    u is live iff it has a self-loop or a live successor, and its other
+    successors have larger supports, so one pass over ``_BY_SUPPORT``
+    decides them before u.
     """
     live = 0
-    for u, s in enumerate(succ):
-        if s:
+    for u in _BY_SUPPORT:
+        if succ[u] & (live | 1 << u):
             live |= 1 << u
-    while True:
-        before = live
-        rest = live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not succ[low.bit_length() - 1] & live:
-                live ^= low
-        if live == before:
-            return live
+    return live
 
 
 def _live_edges(cells, live: int, tables: _Tables) -> list[list[tuple[int, int]]]:
@@ -264,7 +257,12 @@ def build_automaton(digitset: DigitSet) -> tuple[int, list[list[tuple[int, int]]
 
 @lru_cache(maxsize=65536)
 def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
-    """Exact three-way classification of F(alpha): empty, singleton or bigger."""
+    """Exact three-way classification of F(alpha): empty, singleton or bigger.
+
+    A point is read off the smallest live labels from alpha.  Supports only
+    grow along an edge, so a walk comes back to an offset only through a
+    self-loop: the labels before it are the preperiod, its label the period.
+    """
     enc = offset_enc(alpha)
     live, edges = build_automaton(digitset)
     if not live >> enc & 1:
@@ -272,16 +270,12 @@ def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     tables = tables_for_order(digitset.n)
     if _escape_reachable(edges, enc, tables):
         return FaceClass(FaceKind.MULTI)
-    # the point: follow the smallest live label until an offset repeats
-    seen_at: dict[int, int] = {}
     labels: list[Digit] = []
-    u = enc
-    while u not in seen_at:
-        seen_at[u] = len(labels)
-        u, a = edges[u][0]
+    u, (w, a) = enc, edges[enc][0]
+    while w != u:
         labels.append(tables.coords[a])
-    t = seen_at[u]
-    return FaceClass(FaceKind.POINT, TriadicPoint.from_digits(digitset.n, labels[:t], labels[t:]))
+        u, (w, a) = w, edges[w][0]
+    return FaceClass(FaceKind.POINT, TriadicPoint.from_digits(digitset.n, labels, [tables.coords[a]]))
 
 
 def face_point(digitset: DigitSet, alpha: Triple) -> TriadicPoint:

@@ -67,8 +67,11 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     """Union of all depth-digit subdivision cells of the digit set."""
     if depth < 1:
         raise InvalidRequest("depth must be >= 1")
-    if len(ds) ** depth > DEFAULT_CELL_BUDGET:
-        raise BudgetExceeded(f"{len(ds)}^{depth} cells exceed budget {DEFAULT_CELL_BUDGET}")
+    # 2^limit cells exceed the budget: refuse deeper requests, of one digit too, before a huge power
+    limit = DEFAULT_CELL_BUDGET.bit_length()
+    if depth >= limit or len(ds) ** depth > DEFAULT_CELL_BUDGET:
+        raise BudgetExceeded(f"depth {depth} with {len(ds)} digits exceeds the budget of "
+                             f"{DEFAULT_CELL_BUDGET} cells and depth {limit - 1}")
     b = ds.n ** depth + 1
     out = frozenset(_iterate([(d[0] * b + d[1]) * b + d[2] for d in ds.digits], ds.n, depth))
     assert len(out) == len(ds) ** depth
@@ -132,8 +135,10 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     within m levels.  A nonzero component of a state can only stay as it
     is (n + s_k is inside only at 1, as |s_k| <= n - 1), so after k + 1
     levels (k free axes) the set only grows, and a set equal to the
-    previous one stays for good: the walk stops there.  It builds no cells,
-    so no cell budget applies; a ``vox`` passed in must match the request.
+    previous one stays for good: the walk stops there.  A set nonempty at
+    level 3 thus never runs dry, the regions touch at every depth, and by
+    compactness the face is nonempty: from depth 3 on the check decides both
+    ways.  It builds no cells (no cell budget); a ``vox`` must match the request.
     """
     offset_enc(alpha)  # validate
     if depth < 1:

@@ -144,6 +144,9 @@ def test_outputs_end_with_newline(tmp_path):
     (("inspect", "000", "--out", "/nonexistent/x.json"), "error: [Errno 2] No such file"),
     (("enumerate", "--pieces", "6", "--out", "/nonexistent/r.json"),
      "error: [Errno 2] No such file"),
+    # refused at once, without a huge power or a billion levels of one digit
+    (("export", "000", "--depth", "1000000000"), "and depth 20"),
+    (("export", "020_101_110_111_112_121_202", "--depth", "1000000000"), "and depth 20"),
 ])
 def test_enumerate_rejects_bad_input(args, message):
     out = run_cli(*args)
@@ -198,18 +201,22 @@ def test_verify_oracle_sweep_counts(full_report, monkeypatch, tmp_path):
     assert "oracle contradiction" not in text
 
 
-def test_verify_reports_a_contradicted_certificate(full_report, monkeypatch, tmp_path):
-    # a classifier that calls every face nonempty contradicts every certificate
+@pytest.mark.parametrize("is_empty, contradicted", [(False, 1756), (True, 974)],
+                         ids=["always_nonempty", "always_empty"])
+def test_verify_reports_a_contradicted_certificate(full_report, monkeypatch, tmp_path, is_empty, contradicted):
+    # from depth 3 on the certificate decides emptiness both ways, so a classifier
+    # that calls every face nonempty contradicts every certified face, and one
+    # that calls every face empty contradicts every face left uncertified
     monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
     monkeypatch.setattr(cli.pipeline, "verify_against_tables",
                         lambda report: cli.pipeline.VerificationSummary(total=105, matched=105, mismatches=()))
-    monkeypatch.setattr(cli, "classify_face", lambda ds, alpha: types.SimpleNamespace(is_empty=False))
+    monkeypatch.setattr(cli, "classify_face", lambda ds, alpha: types.SimpleNamespace(is_empty=is_empty))
     target = tmp_path / "verify.txt"
     args = argparse.Namespace(workers=1, skip_oracle=False, out=str(target))
     assert cli.cmd_verify(args) == 1
     lines = target.read_text().splitlines()
-    assert "1756/2730 faces certified empty, 1756 contradicted" in lines
-    assert sum(line.startswith("oracle contradiction: ") for line in lines) == 1756
+    assert f"1756/2730 faces certified empty, {contradicted} contradicted" in lines
+    assert sum(line.startswith("oracle contradiction: ") for line in lines) == contradicted
 
 
 def test_verify_reports_an_oracle_disagreement(full_report, monkeypatch, tmp_path):

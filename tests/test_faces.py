@@ -61,6 +61,11 @@ def test_edge_targets_never_zero():
                 w = tuple(n * OFFSET_OF[u_enc][k] + tables.coords[b][k] - tables.coords[a][k]
                           for k in range(3))
                 assert w == OFFSET_OF[bit.bit_length() - 1]
+                # supports only grow: u's nonzero coordinates stay, and an edge
+                # that adds none is a self-loop
+                u = OFFSET_OF[u_enc]
+                assert all(w[k] == u[k] for k in range(3) if u[k])
+                assert w == u or w.count(0) < u.count(0)
 
 
 def test_segment_automaton_self_loop():
@@ -195,12 +200,14 @@ def test_point_lies_on_face_and_negation_symmetry():
     rng = random.Random(7)
     sets = [parse_digitset(TABLE2_FIRST), DigitSet.from_digits(SEGMENT)]
     sets += [random_digitset(rng) for _ in range(15)]
+    sets += [random_digitset(rng, n, rng.randrange(2, n ** 3)) for n in (2, 4, 5) for _ in range(10)]
     for ds in sets:
         for alpha in OFFSETS:
             fc = classify_face(ds, alpha)
             neg = (-alpha[0], -alpha[1], -alpha[2])
             assert classify_face(ds, neg).kind is fc.kind
             if fc.is_point:
+                assert len(fc.point.period) == 1  # the walk ends at a self-loop
                 for k in range(3):
                     if alpha[k] == 1:
                         assert fc.point.value[k] == 1
@@ -274,19 +281,18 @@ def test_point_extraction_is_path_independent():
 
 
 def test_scc_liveness_matches_path_fixpoint():
-    # brute force: a node is live iff a 26-step path leaves it
+    # brute force: an offset is live iff a 26-step path leaves it, on the
+    # automata of the kernel sets and of random sets of order 5
     from fracube.faces import _scc_live
     rng = random.Random(61)
-    for _ in range(200):
-        succ = [0] * 26
-        for u in range(26):
-            for _ in range(rng.randrange(0, 4)):
-                succ[u] |= 1 << rng.randrange(26)
+    sets = _kernel_sets() + [random_digitset(rng, 5, rng.randrange(1, 126)) for _ in range(40)]
+    for ds in sets:
+        succ = _successors(ds.cells(), tables_for_order(ds.n))
         expected = 0
-        for u in range(26):
+        for u in range(27):
             frontier = {u}
             for _ in range(26):
-                frontier = {w for x in frontier for w in range(26) if succ[x] >> w & 1}
+                frontier = {w for x in frontier for w in range(27) if succ[x] >> w & 1}
                 if not frontier:
                     break
             if frontier:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -145,3 +146,17 @@ def test_every_error_class_is_raised():
     assert len(errors) > 10
     raised = set().union(*(_raised_names(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))))
     assert sorted(errors - raised - {"FracubeError"}) == []
+
+
+def test_benchmark_trace_sites_exist(monkeypatch):
+    # the benchmark skips a traced span whose (module, attribute) sites are all
+    # gone and drops its metric without a word, so a rename must fail here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    run = importlib.import_module("run")
+    prog = run.Program()
+    for name, sites, _ in run.trace_plan():
+        assert any(hasattr(prog.modules[m], attr) for m, attr in sites), name
+    caches = {attr for mod in prog.modules.values() for attr, value in vars(mod).items()
+              if hasattr(value, "cache_clear")}
+    assert run.SETUP_CACHES <= caches

@@ -54,6 +54,9 @@ def test_voxel_refinement():
 def test_voxel_budget():
     with pytest.raises(BudgetExceeded):
         voxelize(TABLE2_FIRST, 9)
+    # one cell never fills the budget, but its depth is bounded like any other
+    with pytest.raises(BudgetExceeded, match="and depth 20"):
+        voxelize(DigitSet.from_digits([(0, 2, 1)]), 21)
     with pytest.raises(ValueError):
         voxelize(TABLE2_FIRST, 0)
     # the certificate builds no cells, so the cell budget does not bound its
@@ -212,9 +215,9 @@ def test_certificate_matches_the_tuple_reference():
 
 def test_certificate_at_deep_levels():
     # depths where the grid is far wider than the iterate: a two-digit set,
-    # a segment, and one cell at a depth no larger set reaches within the budget
+    # a segment, and one cell at the budget's depth limit
     one_cell = DigitSet.from_digits([(0, 2, 1)])
-    cases = [(parse_digitset("000_022"), 12), (SEGMENT, 8), (one_cell, 40)]
+    cases = [(parse_digitset("000_022"), 12), (SEGMENT, 8), (one_cell, 20)]
     disagree, certified = _certificate_disagreements(cases)
     assert disagree == []
     assert 0 < certified < 26 * len(cases)
