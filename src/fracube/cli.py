@@ -8,7 +8,7 @@ import sys
 
 from . import oracle, pipeline, topology
 from .core import canonical_form, parse_digitset
-from .errors import FracubeError
+from .errors import BudgetExceeded, FracubeError
 from .faces import OFFSETS, classify_face
 
 # Voxel depth of the emptiness certificate in `verify`.  Its walk settles by
@@ -126,6 +126,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     ds = parse_digitset(args.digits, n=args.order)
+    budget = oracle.DEFAULT_CELL_BUDGET
+    # a mesh writes 20 lines (about 550 bytes) per cell: refuse it before the cells are built;
+    # voxelize refuses the depths past the budget's bit length, before any power
+    if (args.format == "obj" and args.depth < budget.bit_length()
+            and 20 * len(ds) ** args.depth > budget):
+        raise BudgetExceeded(f"an obj mesh of {len(ds)} digits at depth {args.depth} takes "
+                             f"{20 * len(ds) ** args.depth} lines, over the budget of {budget}")
     vox = oracle.voxelize(ds, args.depth)
     _write(oracle.export_mesh(vox, args.format), args.out)
     return 0

@@ -200,7 +200,12 @@ def _cell_permutations(n: int) -> list[list[int]]:
     """For each group element, the induced permutation of cell indices."""
     tables = []
     for g in CUBE_GROUP:
-        tables.append([cell_index(g.apply_digit(digit_from_cell(c, n), n), n) for c in range(n ** 3)])
+        # coordinate p of a cell becomes coordinate i = perm.index(p) of its image
+        axes = [[], [], []]
+        for i, (p, flip) in enumerate(zip(g.perm, g.flips)):
+            axes[p] = [(n - 1 - v if flip else v) * n ** i for v in range(n)]
+        xs, ys, zs = axes
+        tables.append([x + y + z for z in zs for y in ys for x in xs])
     return tables
 
 
@@ -232,21 +237,79 @@ class CanonicalForm:
         assert self.orbit_size * self.stabilizer_size == len(CUBE_GROUP)
 
 
+# Codes are read in slices of this many bits, one lookup table per slice.
+_SLICE_BITS = 9
+_SLICE_MASK = (1 << _SLICE_BITS) - 1
+
+
+@lru_cache(maxsize=4)
+def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[int],
+                                   list[list[tuple[int, int]]], int, int]:
+    """Per-slice lookup tables of a code's images under the cube group.
+
+    Packed values have one field of ``n**3 + 1`` bits for each non-identity
+    element ``g`` of ``CUBE_GROUP``.  Entry ``v`` of a slice's table is the
+    sum over ``g`` of ``g(part) - part`` shifted into field ``g``, where
+    ``part`` is the code of the slice's cells in ``v``.  A code's images
+    are the OR of its slices' images, so the guard bits (the top bit of
+    every field) plus one entry per slice give ``2**n**3 + g(code) - code``
+    in field ``g``, which never leaves its field; the same holds for the
+    entries of any set of slices, with ``g(part) - part`` of their cells.
+
+    Returns ``(levels, low, lows, ones, guards)``.  ``levels`` holds, from
+    the highest slice down to the second lowest, each slice's lowest cell
+    ``lo``, its table and its stable mask: the guard bits of the elements
+    that map the cells ``0..lo-1`` onto themselves (0 where there are
+    none).  ``low`` is the lowest slice's table, and ``lows[r]`` lists its
+    values with ``r`` cells in increasing order, each with its entry.
+    ``ones`` is the packed value with 1 in every field.
+    """
+    ncells = n ** 3
+    width = ncells + 1
+    perms = _cell_permutations(n)[1:]
+    ones = sum(1 << width * g for g in range(len(perms)))
+    levels = []
+    for lo in range(0, ncells, _SLICE_BITS):
+        table = [0]
+        for c in range(lo, min(lo + _SLICE_BITS, ncells)):
+            cell = sum(1 << width * g + perm[c] for g, perm in enumerate(perms)) - (ones << c)
+            table += [entry + cell for entry in table]
+        # a permutation maps the cells below lo onto themselves iff it maps them below lo
+        stable = sum(1 << width * g + ncells for g, perm in enumerate(perms)
+                     if max(perm[:lo], default=lo) < lo)
+        levels.append((lo, table, stable))
+    (_, low, _), *levels = levels
+    lows: list[list[tuple[int, int]]] = [[] for _ in range(len(low).bit_length())]
+    for v, entry in enumerate(low):
+        lows[v.bit_count()].append((v, entry))
+    return levels[::-1], low, lows, ones, ones << ncells
+
+
+def _orbit_images(code: int, n: int) -> list[int]:
+    """The images of a code under ``CUBE_GROUP``, in its order, from the slice tables."""
+    levels, low, _, _, guards = _orbit_tables(n)
+    packed = guards + low[code & _SLICE_MASK]
+    for lo, table, _ in levels:
+        packed += table[code >> lo & _SLICE_MASK]
+    width = n ** 3 + 1
+    mask = (1 << width) - 1
+    # field g holds 2**n**3 + g(code) - code
+    base = code - (1 << width - 1)
+    return [code] + [base + (packed >> width * g & mask) for g in range(len(CUBE_GROUP) - 1)]
+
+
 def canonical_code(code: int, n: int) -> int:
     """Minimum occupancy code over the 48 images."""
-    return min(_image(table, code) for table in _cell_permutations(n))
+    return min(_orbit_images(code, n))
 
 
 def canonical_form(ds: DigitSet) -> CanonicalForm:
     """Canonical representative, orbit size, stabilizer size and a witness."""
-    images = [_image(table, ds.code) for table in _cell_permutations(ds.n)]
+    images = _orbit_images(ds.code, ds.n)
     best = min(images)
-    orbit = len(set(images))
-    stabilizer = sum(1 for img in images if img == ds.code)
-    witness = CUBE_GROUP[images.index(best)]
     return CanonicalForm(
         canonical=DigitSet.from_code(best, n=ds.n),
-        orbit_size=orbit,
-        stabilizer_size=stabilizer,
-        witness=witness,
+        orbit_size=len(set(images)),
+        stabilizer_size=images.count(ds.code),
+        witness=CUBE_GROUP[images.index(best)],
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .core import Digit, DigitSet, _cell_digits
@@ -189,12 +189,15 @@ class FaceKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TriadicPoint:
-    """Exact point with eventually periodic base-n coordinate expansions."""
+    """Exact point with eventually periodic base-n coordinate expansions.
+
+    Its coordinates, ``value``, are computed on first use: a face verdict
+    that is never printed or compared needs only the digits.
+    """
 
     n: int
     preperiod: tuple[Digit, ...]
     period: tuple[Digit, ...]
-    value: tuple[Fraction, Fraction, Fraction]
 
     @classmethod
     def from_digits(cls, n: int, preperiod, period) -> "TriadicPoint":
@@ -202,6 +205,11 @@ class TriadicPoint:
         per = tuple(Digit(*d) for d in period)
         if not per:
             raise ValueError("periodic part must be nonempty")
+        return cls(n=n, preperiod=pre, period=per)
+
+    @cached_property
+    def value(self) -> tuple[Fraction, Fraction, Fraction]:
+        n, pre, per = self.n, self.preperiod, self.period
         p, q = len(pre), len(per)
         value = []
         for k in range(3):
@@ -212,7 +220,7 @@ class TriadicPoint:
             for d in per:
                 b = b * n + d[k]
             value.append(Fraction(a * (n ** q - 1) + b, n ** p * (n ** q - 1)))
-        return cls(n=n, preperiod=pre, period=per, value=tuple(value))
+        return tuple(value)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TriadicPoint) and self.value == other.value
@@ -242,6 +250,11 @@ class FaceClass:
         return self.kind is FaceKind.MULTI
 
 
+# the verdicts without a point, shared by every face that has them
+_EMPTY = FaceClass(FaceKind.EMPTY)
+_MULTI = FaceClass(FaceKind.MULTI)
+
+
 @lru_cache(maxsize=4096)
 def build_automaton(digitset: DigitSet) -> tuple[int, list[list[tuple[int, int]]]]:
     """The live offsets of a digit set and its edges into them, cached.
@@ -266,10 +279,10 @@ def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     enc = offset_enc(alpha)
     live, edges = build_automaton(digitset)
     if not live >> enc & 1:
-        return FaceClass(FaceKind.EMPTY)
+        return _EMPTY
     tables = tables_for_order(digitset.n)
     if _escape_reachable(edges, enc, tables):
-        return FaceClass(FaceKind.MULTI)
+        return _MULTI
     labels: list[Digit] = []
     u, (w, a) = enc, edges[enc][0]
     while w != u:

@@ -289,9 +289,6 @@ def faces_agree(ds: DigitSet, alpha: Triple) -> bool:
     """Cross-validate the exact classifier against the path oracle."""
     exact = faces.classify_face(ds, alpha)
     card = oracle_face_cardinality(ds, alpha)
-    expected = {
-        FaceCardinality.EMPTY: faces.FaceKind.EMPTY,
-        FaceCardinality.ONE: faces.FaceKind.POINT,
-        FaceCardinality.AT_LEAST_TWO: faces.FaceKind.MULTI,
-    }[card]
-    return exact.kind is expected
+    if card is FaceCardinality.EMPTY:
+        return exact.is_empty
+    return exact.is_point if card is FaceCardinality.ONE else exact.is_multi

@@ -34,9 +34,10 @@ from typing import Iterator
 
 from .core import (
     CUBE_GROUP,
+    _SLICE_MASK,
     DigitSet,
-    _cell_permutations,
     _check_order,
+    _orbit_tables,
     canonical_code,
     canonical_form,
     parse_digitset,
@@ -105,54 +106,6 @@ def enumerate_all(n: int = 3, N: int = 7) -> Iterator[DigitSet]:
         yield DigitSet.from_code(code, n)
 
 
-# Codes are read in slices of this many bits, one lookup table per slice.
-_SLICE_BITS = 9
-_SLICE_MASK = (1 << _SLICE_BITS) - 1
-
-
-@lru_cache(maxsize=4)
-def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[list[tuple[int, int]]],
-                                   int, int]:
-    """Per-slice lookup tables of a code's images under the cube group.
-
-    Packed values have one field of ``n**3 + 1`` bits for each non-identity
-    element ``g`` of ``CUBE_GROUP``.  Entry ``v`` of a slice's table is the
-    sum over ``g`` of ``g(part) - part`` shifted into field ``g``, where
-    ``part`` is the code of the slice's cells in ``v``.  A code's images
-    are the OR of its slices' images, so the guard bits (the top bit of
-    every field) plus one entry per slice give ``2**n**3 + g(code) - code``
-    in field ``g``, which never leaves its field; the same holds for the
-    entries of any set of slices, with ``g(part) - part`` of their cells.
-
-    Returns ``(levels, lows, ones, guards)``.  ``levels`` holds, from the
-    highest slice down to the second lowest, each slice's lowest cell
-    ``lo``, its table and its stable mask: the guard bits of the elements
-    that map the cells ``0..lo-1`` onto themselves (0 where there are
-    none).  ``lows[r]`` lists the lowest slice's values with ``r`` cells in
-    increasing order, each with its table entry.  ``ones`` is the packed
-    value with 1 in every field.
-    """
-    ncells = n ** 3
-    width = ncells + 1
-    perms = _cell_permutations(n)[1:]
-    ones = sum(1 << width * g for g in range(len(perms)))
-    levels = []
-    for lo in range(0, ncells, _SLICE_BITS):
-        table = [0]
-        for c in range(lo, min(lo + _SLICE_BITS, ncells)):
-            cell = sum(1 << width * g + perm[c] for g, perm in enumerate(perms)) - (ones << c)
-            table += [entry + cell for entry in table]
-        # a permutation maps the cells below lo onto themselves iff it maps them below lo
-        stable = sum(1 << width * g + ncells for g, perm in enumerate(perms)
-                     if max(perm[:lo], default=lo) < lo)
-        levels.append((lo, table, stable))
-    (_, low_table, _), *levels = levels
-    lows: list[list[tuple[int, int]]] = [[] for _ in range(len(low_table).bit_length())]
-    for v, entry in enumerate(low_table):
-        lows[v.bit_count()].append((v, entry))
-    return levels[::-1], lows, ones, ones << ncells
-
-
 def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
     """The orbit-minimal codes from ``first`` to the end of its run.
 
@@ -160,8 +113,8 @@ def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
     in increasing order, the order of :func:`_next_code`, and yields
     ``(code, orbit size)`` for each code that no element of ``CUBE_GROUP``
     maps to a smaller code.  In the packed sum described in
-    :func:`_orbit_tables`, field ``g`` keeps its guard bit iff ``g(code) >=
-    code`` and holds the guard alone iff ``g`` fixes the code.
+    :func:`fracube.core._orbit_tables`, field ``g`` keeps its guard bit iff
+    ``g(code) >= code`` and holds the guard alone iff ``g`` fixes the code.
 
     The codes that share their bits at and above a slice boundary ``lo``
     follow one another, and most of them are rejected together.  Write a
@@ -176,7 +129,7 @@ def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
     lowest slice, that list also holds codes before ``first`` and after
     the run.
     """
-    levels, lows, ones, guards = _orbit_tables(n)
+    levels, _, lows, ones, guards = _orbit_tables(n)
     low_bits = len(lows) - 1
     low_mask = (1 << low_bits) - 1
     size = len(CUBE_GROUP)

@@ -126,6 +126,20 @@ def test_export_budget_error():
     assert "budget" in out.stderr.lower()
 
 
+def test_export_obj_budget_counts_lines(monkeypatch, capsys):
+    # a mesh writes 20 lines per cell: 2**17 cells fit the cell budget, their
+    # mesh does not, and it is refused before any cell is built
+    from fracube import oracle
+    assert cli.main(["export", "000_022", "--depth", "17"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2 ** 17
+
+    def refuse(*args):
+        raise AssertionError("voxelize ran for a mesh over the budget")
+    monkeypatch.setattr(oracle, "voxelize", refuse)
+    assert cli.main(["export", "000_022", "--depth", "17", "--format", "obj"]) == 2
+    assert "over the budget of 2000000" in capsys.readouterr().err
+
+
 def test_outputs_end_with_newline(tmp_path):
     for args in (("inspect", "000"),
                  ("enumerate", "--pieces", "1", "--format", "csv"),

@@ -6,6 +6,9 @@ from fracube.core import (
     CUBE_GROUP,
     Digit,
     DigitSet,
+    _cell_permutations,
+    _image,
+    _orbit_images,
     apply_isometry,
     canonical_code,
     canonical_form,
@@ -180,6 +183,49 @@ def test_canonical_code_matches_canonical_form():
     for _ in range(50):
         ds = random_digitset(rng)
         assert canonical_code(ds.code, 3) == canonical_form(ds).canonical.code
+
+
+def test_cell_permutations_follow_apply_digit():
+    rng = random.Random(29)
+    for n in (2, 3, 4, 5):
+        cells = range(n ** 3)
+        for g, table in zip(CUBE_GROUP, _cell_permutations(n)):
+            assert table == [cell_index(g.apply_digit(digit_from_cell(c, n), n), n) for c in cells]
+        for _ in range(5):
+            ds = random_digitset(rng, n=n, size=rng.randint(1, n ** 3))
+            for i, g in enumerate(CUBE_GROUP):
+                assert transform_code(i, ds.code, n) == apply_isometry(g, ds).code
+
+
+def test_slice_tables_match_the_48_images():
+    # canonical_code and canonical_form read the packed slice tables; the
+    # reference moves the code by every cell permutation
+    rng = random.Random(31)
+    stabilizers = set()
+    for n in (2, 3, 4, 5):
+        # every entry of every table: the same 9-bit value in each slice
+        mask = (1 << n ** 3) - 1
+        for code in {sum(v << lo for lo in range(0, n ** 3, 9)) & mask for v in range(1, 512)}:
+            assert _orbit_images(code, n) == [_image(table, code) for table in _cell_permutations(n)]
+        for size in range(1, n ** 3 + 1):
+            code = random_digitset(rng, n=n, size=size).code
+            # and the union of its images under the powers of one element, which that element fixes
+            g = rng.randrange(48)
+            sym, img = code, transform_code(g, code, n)
+            while img != code:
+                sym |= img
+                img = transform_code(g, img, n)
+            for ds in (DigitSet.from_code(code, n=n), DigitSet.from_code(sym, n=n)):
+                images = [_image(table, ds.code) for table in _cell_permutations(n)]
+                best = min(images)
+                assert canonical_code(ds.code, n) == best
+                cf = canonical_form(ds)
+                assert cf.canonical.code == best
+                assert cf.orbit_size == len(set(images))
+                assert cf.stabilizer_size == images.count(ds.code)
+                assert cf.witness == CUBE_GROUP[images.index(best)]
+                stabilizers.add(cf.stabilizer_size)
+    assert len(stabilizers) >= 5
 
 
 def test_from_code_validation():

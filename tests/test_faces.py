@@ -240,6 +240,44 @@ def test_triadic_point_positional_formula():
         TriadicPoint.from_digits(3, [(0, 0, 0)], [])
 
 
+def _series_value(pt: TriadicPoint) -> tuple[Fraction, Fraction, Fraction]:
+    """The point's coordinates summed digit by digit, the period as a geometric series."""
+    n, p, q = pt.n, len(pt.preperiod), len(pt.period)
+    head = [sum(Fraction(d[k], n ** (i + 1)) for i, d in enumerate(pt.preperiod)) for k in range(3)]
+    cycle = [sum(Fraction(d[k], n ** (i + 1)) for i, d in enumerate(pt.period)) for k in range(3)]
+    return tuple(head[k] + cycle[k] * n ** q / (n ** p * (n ** q - 1)) for k in range(3))
+
+
+def test_points_are_computed_on_demand(monkeypatch):
+    # the oracle sweep reads verdicts only; a point's coordinates are computed when first read
+    import fracube.faces
+    from fracube.oracle import faces_agree
+    from fracube.pipeline import bundled_labels
+    from fracube.topology import _bipartite, intersection_graph
+
+    def refuse(*args):
+        raise AssertionError("a point's coordinates were computed")
+
+    rows = [parse_digitset(text) for _, text in bundled_labels()]
+    build_automaton.cache_clear()
+    classify_face.cache_clear()
+    monkeypatch.setattr(fracube.faces, "Fraction", refuse)
+    assert all(faces_agree(ds, alpha) for ds in rows for alpha in OFFSETS)
+    monkeypatch.undo()
+
+    points = [fc.point for ds in rows for alpha in OFFSETS if (fc := classify_face(ds, alpha)).is_point]
+    assert len(points) == 908
+    for pt in points:
+        assert pt.value == _series_value(pt)
+        # the same point with its period unrolled once
+        again = TriadicPoint.from_digits(pt.n, pt.preperiod + pt.period, pt.period)
+        assert again == pt and hash(again) == hash(pt)
+    assert len(set(points)) == len({_series_value(pt) for pt in points})
+    for ds in rows:
+        values = [_series_value(pt) for pt in _bipartite(intersection_graph(ds)).points]
+        assert values == sorted(set(values))
+
+
 def test_equivariance_under_cube_group():
     rng = random.Random(13)
     sets = [parse_digitset(TABLE2_FIRST)] + [random_digitset(rng) for _ in range(5)]

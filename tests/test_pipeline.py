@@ -263,18 +263,24 @@ def _run_from(code: int, most: int) -> list[int] | None:
     return codes
 
 
+def _orbit_by_images(code: int, n: int) -> tuple[int, int]:
+    """(orbit minimum, orbit size) from all 48 images, without the slice tables."""
+    from fracube.core import _cell_permutations, _image
+    images = {_image(table, code) for table in _cell_permutations(n)}
+    return min(images), len(images)
+
+
 def test_scan_agrees_with_public_filters():
     # the tuned scan must reproduce the classified piece graph's connectivity
     # and one-point property on every orbit minimum from its first code to the
-    # end of its run, with canonical_form's orbit size
+    # end of its run, with the orbit size of the 48 images
     from fracube.pipeline import _scan_chunk
     from fracube.topology import piece_adjacency
-    from fracube.core import canonical_code, canonical_form
     import random
     rng = random.Random(71)
     runs = [(3, 7, _run_from(_near_run_end(rng, h, 7, 400), 400)) for h in rng.sample(range(12, 27), 4)]
     # survivor representatives near the end of their run, so that some expectation is not empty
-    canon = sorted({canonical_code(parse_digitset(text).code, 3) for _, text in bundled_labels()})
+    canon = sorted({_orbit_by_images(parse_digitset(text).code, 3)[0] for _, text in bundled_labels()})
     runs += [(3, 7, codes) for code in canon if (codes := _run_from(code, 2500))]
     # whole runs at orders 2 and 4, where the scan's tables have other sizes;
     # at order 2, every code with 2 to 5 cells
@@ -297,19 +303,18 @@ def test_scan_agrees_with_public_filters():
         assert count == len(codes)
         expected: dict[int, int] = {}
         for code in codes:
-            canon = canonical_code(code, n)
+            canon, size = _orbit_by_images(code, n)
             # the filters are invariant under the cube group
             assert verdict(code, n) == verdict(canon, n)
             if canon == code and verdict(code, n):
-                expected[code] = canonical_form(DigitSet.from_code(code, n=n)).orbit_size
+                expected[code] = size
         assert survivors == expected, (n, k, codes[0])
         nonempty[n] += bool(expected)
     assert nonempty[3] >= 3 and nonempty[2] >= 3 and nonempty[4] == 3
 
 
 def test_orbit_representatives_partition_codes():
-    # the scan's minimality test against canonical_code and canonical_form
-    from fracube.core import canonical_code, canonical_form
+    # the scan's minimality test against the 48 images of every code
     from fracube.pipeline import _orbit_representatives
     sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 5)] + [(4, 1), (4, 2), (5, 1), (5, 2)]
     for n, N in sizes:
@@ -318,9 +323,8 @@ def test_orbit_representatives_partition_codes():
         reps: dict[int, int] = {}
         for h in range(N - 1, n ** 3):
             reps.update(_orbit_representatives(n, low | 1 << h))
-        assert set(reps) == {canonical_code(c, n) for c in enumerate_codes(n, N)}, (n, N)
-        for code, size in reps.items():
-            assert size == canonical_form(DigitSet.from_code(code, n=n)).orbit_size, (n, N, code)
+        orbits = dict(_orbit_by_images(c, n) for c in enumerate_codes(n, N))
+        assert reps == orbits, (n, N)
         assert sum(reps.values()) == total, (n, N)
 
 
@@ -343,14 +347,13 @@ def test_scan_flood_funnel_at_3_7():
 def _reference_orbit_representatives(n: int, first: int):
     """The per-code walk: one Gosper step and one packed sum for every code of the run."""
     from fracube.core import CUBE_GROUP
-    from fracube.pipeline import _SLICE_MASK, _next_code, _orbit_tables
-    levels, lows, ones, guards = _orbit_tables(n)
-    low_table = dict(pair for block in lows for pair in block)
-    low_mask = (1 << len(lows) - 1) - 1
+    from fracube.core import _SLICE_MASK, _orbit_tables
+    from fracube.pipeline import _next_code
+    levels, low, _, ones, guards = _orbit_tables(n)
     size = len(CUBE_GROUP)
     code = first
     while code < 1 << first.bit_length():
-        diff = guards + low_table[code & low_mask]
+        diff = guards + low[code & _SLICE_MASK]
         diff += sum(table[code >> lo & _SLICE_MASK] for lo, table, _ in levels)
         if diff & guards == guards:
             yield code, size // (size - ((diff - ones) & guards).bit_count())
@@ -359,8 +362,8 @@ def _reference_orbit_representatives(n: int, first: int):
 
 def _rejected_level(n: int, code: int) -> int:
     """The highest slice boundary whose high part the pruned walk rejects, or 0."""
-    from fracube.pipeline import _SLICE_MASK, _orbit_tables
-    levels, _, _, guards = _orbit_tables(n)
+    from fracube.core import _SLICE_MASK, _orbit_tables
+    levels, _, _, _, guards = _orbit_tables(n)
     upper = guards
     for lo, table, stable in levels:
         upper += table[code >> lo & _SLICE_MASK]
