@@ -89,7 +89,7 @@ class DigitSet:
     def __hash__(self) -> int:
         # equal sets have equal codes, so this agrees with the generated __eq__;
         # every lru_cache keyed by a digit set hashes it
-        return hash((self.n, self.code))
+        return self.code
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -135,12 +135,22 @@ def parse_digitset(text: str, n: int = 3) -> DigitSet:
         if not triples or residue:
             raise ParseError(f"malformed tuple list: {text!r}")
         return DigitSet.from_digits([tuple(map(int, t)) for t in triples], n=n)
-    digits = []
-    for token in s.split("_"):
+    tokens = s.split("_")
+    for token in tokens:
         if len(token) != 3 or not token.isdecimal():
             raise ParseError(f"malformed digit token {token!r}")
-        digits.append(tuple(int(ch) for ch in token))
-    return DigitSet.from_digits(digits, n=n)
+    # the checks of DigitSet.from_digits, in its order, on the occupancy code
+    code = 0
+    for token in tokens:
+        v = int(token)
+        x, y, z = v // 100, v // 10 % 10, v % 10
+        if x >= n or y >= n or z >= n:
+            raise OutOfRange(f"digit {Digit(x, y, z)} out of range for order {n}")
+        bit = 1 << x + n * (y + n * z)
+        if code & bit:
+            raise DuplicateDigit(f"digit {Digit(x, y, z)} listed twice")
+        code |= bit
+    return DigitSet.from_code(code, n=n)
 
 
 @dataclass(frozen=True)

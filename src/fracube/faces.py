@@ -288,7 +288,7 @@ def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     while w != u:
         labels.append(tables.coords[a])
         u, (w, a) = w, edges[w][0]
-    return FaceClass(FaceKind.POINT, TriadicPoint.from_digits(digitset.n, labels, [tables.coords[a]]))
+    return FaceClass(FaceKind.POINT, TriadicPoint(digitset.n, tuple(labels), (tables.coords[a],)))
 
 
 def face_point(digitset: DigitSet, alpha: Triple) -> TriadicPoint:

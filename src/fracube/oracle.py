@@ -12,7 +12,9 @@ Two deliberately separate routes re-derive face facts from first principles:
   trichotomy without the main path's successor masks.  The label relation
   is solved per axis for each label step, and one backward pass prunes it
   to the offsets that start an infinite path; a worklist of (offset pair,
-  difference) states then looks for two paths whose points differ.
+  difference) states then looks for two paths whose points differ, one
+  pass per digit set, where a search that finds none settles its states
+  for the later ones.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class VoxelSet:
 def _iterate(packed: Sequence[int], n: int, depth: int) -> list[int]:
     """The sums sum_i n^i p_i over the depth-letter words of the packed digits p.
 
-    Packed in base n^depth + 1, every coordinate of a partial sum is at most
-    n^depth - 1 < b, so packing is linear on them and cannot carry: each
+    Packed in a base b > n^depth - 1, every coordinate of a partial sum is at
+    most n^depth - 1 < b, so packing is linear on them and cannot carry: each
     level adds a scaled packed digit.
     """
     cells, scale = [0], 1
@@ -72,8 +74,17 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     if depth >= limit or len(ds) ** depth > DEFAULT_CELL_BUDGET:
         raise BudgetExceeded(f"depth {depth} with {len(ds)} digits exceeds the budget of "
                              f"{DEFAULT_CELL_BUDGET} cells and depth {limit - 1}")
-    b = ds.n ** depth + 1
-    out = frozenset(_iterate([(d[0] * b + d[1]) * b + d[2] for d in ds.digits], ds.n, depth))
+    n = ds.n
+    b = n ** depth + 1
+    packed = [(d[0] * b + d[1]) * b + d[2] for d in ds.digits]
+    # a word is its first ``half`` letters and the rest, so the iterate is the
+    # depth-half iterate plus n^half times the depth-(depth - half) one; every
+    # coordinate of a sum stays below n^depth < b, so no packed sum carries
+    half = depth // 2
+    low = _iterate(packed, n, half)
+    scale = n ** half
+    high = [scale * c for c in _iterate(packed, n, depth - half)]
+    out = frozenset([c + h for h in high for c in low])
     assert len(out) == len(ds) ** depth
     return VoxelSet(digitset=ds, depth=depth, packed=out)
 
@@ -191,52 +202,96 @@ def _label_edges(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
 def _relation(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
     """The label relation pruned to the offsets that start an infinite path.
 
-    One backward pass for all starts: S_0 is every offset and S_{k+1} the
-    offsets with an edge into S_k, so S_k starts a k-step path.  The sets
-    shrink, so they are stable by S_26, and every offset of the stable S
-    has an edge into S: S holds exactly the offsets that start an infinite
-    path.  They are the keys, each with its edges into S, so every listed
+    One backward pass for all starts: S_1 holds the offsets with an edge
+    and S_{k+1} those with an edge into S_k, so S_k starts a k-step path.
+    The sets shrink, so they are stable by S_26, and every offset of the
+    stable S has an edge into S: S holds exactly the offsets that start an
+    infinite path.  They are the keys, each with its edges into S, so every listed
     edge continues forever.
     """
     edges = _label_edges(ds)
-    alive = set(OFFSETS)
-    while dead := {u for u in alive if not any(v in alive for _, v in edges[u])}:
+    alive = {u for u in OFFSETS if edges[u]}
+    targets = {u: {v for _, v in edges[u]} for u in alive}
+    while dead := {u for u in alive if targets[u].isdisjoint(alive)}:
         alive -= dead
     return {u: [(d, v) for d, v in edges[u] if v in alive] for u in alive}
+
+
+@lru_cache(maxsize=1)  # callers finish one digit set before the next
+def _cardinalities(ds: DigitSet) -> dict[Triple, FaceCardinality]:
+    """offset -> #F(offset) in {0, 1, >=2}, by one pass of pair searches.
+
+    The search from alpha follows two paths of the pruned relation together
+    with the difference of their partial sums; a difference that escapes
+    {-1,0,1}^3 witnesses two distinct points, since both paths continue
+    forever.  Digits are packed as x + b*y + b^2*z with b = 4n, the way
+    :func:`_boundary_slabs` packs them: a component of n*s + d1 - d2 with s
+    inside lies in [1 - 2n, 2n - 1], within half the base, so the packed
+    difference is inside exactly when every component is in {-1,0,1}.
+
+    The searches run from each key of the relation in turn.  One that runs
+    dry without an escape leaves ``seen`` closed under successors (up to the
+    states already settled) and free of escapes, so no state of it reaches
+    an escape: it joins ``settled``, and later searches never queue a state
+    from there.  By induction ``settled`` stays closed and escape-free, so
+    the pass decides every start exactly.  A search that escapes may have
+    queued states that reach the escape, so it shares nothing.
+    """
+    n = ds.n
+    b = 4 * n
+    relation = _relation(ds)
+    index = {u: i for i, u in enumerate(relation)}
+    edges = [[(d[0] + b * (d[1] + b * d[2]), index[v]) for d, v in relation[u]] for u in relation]
+    inside = frozenset(x + b * (y + b * z) for x, y, z in itertools.product((-1, 0, 1), repeat=3))
+    out = dict.fromkeys(OFFSETS, FaceCardinality.EMPTY)
+    settled: set[tuple[int, int, int]] = set()
+    for alpha, i in index.items():
+        seen = _pair_search(edges, i, n, inside, settled)
+        if seen is None:
+            out[alpha] = FaceCardinality.AT_LEAST_TWO
+        else:
+            out[alpha] = FaceCardinality.ONE
+            settled |= seen
+    return out
+
+
+def _pair_search(edges: list[list[tuple[int, int]]], start: int, n: int, inside: frozenset[int],
+                 settled: set[tuple[int, int, int]]) -> set[tuple[int, int, int]] | None:
+    """The pair states reached from ``start`` outside ``settled``, or None on an escape.
+
+    States are (offset of path 1, offset of path 2, packed difference of the
+    partial sums), offsets numbered as in ``edges``.
+    """
+    seen = {(start, start, 0)}
+    todo = [(start, start, 0)]
+    while todo:
+        i1, i2, s = todo.pop()
+        base = n * s
+        for p1, v1 in edges[i1]:
+            t = base + p1
+            for p2, v2 in edges[i2]:
+                state = (v1, v2, t - p2)
+                if state not in seen and state not in settled:
+                    if state[2] not in inside:
+                        return None
+                    seen.add(state)
+                    todo.append(state)
+    return seen
 
 
 def oracle_face_cardinality(ds: DigitSet, alpha: Triple) -> FaceCardinality:
     """Re-decide #F(alpha) in {0, 1, >=2} by a worklist over pairs of paths.
 
     F(alpha) is nonempty iff an infinite label path leaves alpha, that is
-    iff alpha is a key of the pruned relation.  Two paths from alpha are
-    followed together with the difference of their partial sums; a
-    difference that escapes {-1,0,1}^3 witnesses two distinct points, since
-    both paths continue forever.  The search ends: there are finitely many
-    pair states (26 * 26 * 27), and ``seen`` queues each at most once.
+    iff alpha is a key of the pruned relation.  Its cardinality comes from
+    :func:`_cardinalities`, which decides all 26 offsets of the digit set in
+    one pass: a search that finds no escape settles the pair states it saw,
+    and later searches skip them, as none of them reaches an escape.  Each
+    search ends, as there are finitely many pair states (26 * 26 * 27) and
+    each is queued at most once.
     """
     offset_enc(alpha)  # validate
-    alpha = tuple(alpha)
-    n = ds.n
-    edges = _relation(ds)
-    if alpha not in edges:
-        return FaceCardinality.EMPTY
-
-    # pair states: (offset of path 1, offset of path 2, difference of partial sums)
-    start = (alpha, alpha, (0, 0, 0))
-    seen, todo = {start}, [start]
-    while todo:
-        u1, u2, s = todo.pop()
-        for d1, v1 in edges[u1]:
-            for d2, v2 in edges[u2]:
-                ns = tuple(n * s[k] + d1[k] - d2[k] for k in range(3))
-                if any(c < -1 or c > 1 for c in ns):
-                    return FaceCardinality.AT_LEAST_TWO
-                state = (v1, v2, ns)
-                if state not in seen:
-                    seen.add(state)
-                    todo.append(state)
-    return FaceCardinality.ONE
+    return _cardinalities(ds)[tuple(alpha)]
 
 
 def export_cells(vox: VoxelSet) -> str:

@@ -163,7 +163,7 @@ def _bipartite(graph: PieceGraph) -> BipartiteGraph:
     edges: set[tuple[int, int]] = set()
     for i, j, _, fc in graph.edges:
         # K_i cap K_j = (F(d_i - d_j) + d_j)/n, and the edge carries F(d_i - d_j)
-        point = TriadicPoint.from_digits(ds.n, (dig[j],) + fc.point.preperiod, fc.point.period)
+        point = TriadicPoint(ds.n, (dig[j],) + fc.point.preperiod, fc.point.period)
         pid = point_ids.setdefault(point, len(point_ids))
         edges.add((i, pid))
         edges.add((j, pid))

@@ -95,6 +95,50 @@ def test_parse_errors():
         DigitSet.from_digits([])
 
 
+def _reference_compact(text: str, n: int = 3) -> DigitSet:
+    """The token route: every token becomes a digit tuple, then DigitSet.from_digits checks them."""
+    s = text.strip()
+    if not s:
+        raise ParseError("empty digit-set literal")
+    digits = []
+    for token in s.split("_"):
+        if len(token) != 3 or not token.isdecimal():
+            raise ParseError(f"malformed digit token {token!r}")
+        digits.append(tuple(int(ch) for ch in token))
+    return DigitSet.from_digits(digits, n=n)
+
+
+def _outcome(parse, text, n):
+    try:
+        return parse(text, n=n)
+    except (OutOfRange, DuplicateDigit, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+def test_compact_parse_matches_the_token_route():
+    # the same digit set, or the same error class and text, as the route
+    # through DigitSet.from_digits; valid sets also agree with the braced form
+    cases = [("000_000_111", 3), ("003", 3), ("00_111", 3), ("\u00b200_111", 3), ("", 3),
+             ("021", 2), ("000", 3), ("020_101_110_111_112_121_202", 3), (" 202_020 ", 3),
+             ("000_900_00x", 3), ("110_330_110", 3), ("110_011_110_330", 4), ("_", 3),
+             ("\uff11\uff10\uff10_000", 3), ("444_000", 5), ("444_000", 4)]
+    rng = random.Random(13)
+    for n in (2, 3, 4, 5):
+        for _ in range(20):
+            ds = random_digitset(rng, n=n, size=rng.randrange(1, min(n ** 3, 12)))
+            digits = [f"{d.x}{d.y}{d.z}" for d in ds.digits]
+            rng.shuffle(digits)
+            cases.append(("_".join(digits), n))
+            cases.append(("_".join(digits + digits[:1]), n))
+    for text, n in cases:
+        got = _outcome(parse_digitset, text, n)
+        assert got == _outcome(_reference_compact, text, n), (text, n)
+        if isinstance(got, DigitSet):
+            assert parse_digitset(got.render_braced(), n=n) == got
+    errors = {got[0] for text, n in cases if not isinstance(got := _outcome(parse_digitset, text, n), DigitSet)}
+    assert errors == {OutOfRange, DuplicateDigit, ParseError}
+
+
 def test_render_round_trip():
     rng = random.Random(11)
     for _ in range(50):

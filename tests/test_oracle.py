@@ -82,8 +82,9 @@ def _reference_voxel_cells(ds, depth):
 
 
 def test_packed_iterate_matches_the_tuple_route():
-    # seeded sets of orders 2-4 at depths 1-4, then sets with cells on both
-    # opposite faces of every axis, where a packed sum could carry
+    # seeded sets of orders 2-4 at depths 1-5, then sets with cells on both
+    # opposite faces of every axis, where a packed sum could carry; depths 3
+    # and 5 split into unequal halves
     rng = random.Random(67)
     cases = [random_digitset(rng, n=n, size=rng.randrange(1, min(n ** 3, 9) + 1))
              for n in (2, 3, 4) for _ in range(15)]
@@ -91,13 +92,13 @@ def test_packed_iterate_matches_the_tuple_route():
         for _ in range(10):
             extra = rng.sample(range(1, n ** 3 - 1), rng.randrange(1, 6))
             cases.append(DigitSet.from_code(1 | 1 << (n ** 3 - 1) | sum(1 << c for c in extra), n=n))
-    checked = 0
+    checked = dict.fromkeys(range(1, 6), 0)
     for ds in cases:
-        for depth in range(1, 5):
+        for depth in checked:
             if len(ds) ** depth <= 50_000:
                 assert voxelize(ds, depth).cells == _reference_voxel_cells(ds, depth), (ds, depth)
-                checked += depth == 4
-    assert checked > 50
+                checked[depth] += 1
+    assert checked[4] > 50 and checked[5] > 30
 
 
 def test_certified_empty_on_separated_offsets():
@@ -288,6 +289,44 @@ def test_extendable_offsets_match_the_forward_reference():
         assert pruned == {u: [(d, v) for d, v in edges[u] if v in extendable] for u in extendable}, ds
         sizes.add(len(extendable))
     assert 0 in sizes and len(sizes) > 5
+
+
+def _reference_cardinality(ds, alpha):
+    """#F(alpha) by one pair search from alpha alone, over coordinate triples."""
+    n = ds.n
+    edges = oracle._relation(ds)
+    if alpha not in edges:
+        return FaceCardinality.EMPTY
+    start = (alpha, alpha, (0, 0, 0))
+    seen, todo = {start}, [start]
+    while todo:
+        u1, u2, s = todo.pop()
+        for d1, v1 in edges[u1]:
+            for d2, v2 in edges[u2]:
+                ns = tuple(n * s[k] + d1[k] - d2[k] for k in range(3))
+                if any(c < -1 or c > 1 for c in ns):
+                    return FaceCardinality.AT_LEAST_TWO
+                state = (v1, v2, ns)
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return FaceCardinality.ONE
+
+
+def test_shared_settled_states_match_the_per_start_search():
+    # the one pass over a digit set's offsets against a fresh search per offset;
+    # order 2 has up to two edges per axis step
+    rng = random.Random(89)
+    cases = [parse_digitset(text) for _, text in bundled_labels()]
+    cases += [random_digitset(rng, n=n, size=rng.randrange(2, min(n ** 3, 12) + 1))
+              for n in (2, 3, 4) for _ in range(60)]
+    kinds = set()
+    for ds in cases:
+        for alpha in OFFSETS:
+            got = oracle_face_cardinality(ds, alpha)
+            assert got is _reference_cardinality(ds, alpha), (ds, alpha)
+            kinds.add((ds.n, got))
+    assert kinds == {(n, card) for n in (2, 3, 4) for card in FaceCardinality}
 
 
 def test_certified_empty_implies_empty_class():
