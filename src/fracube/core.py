@@ -60,22 +60,17 @@ class DigitSet:
     @classmethod
     def from_digits(cls, digits: Iterable[tuple[int, int, int]], n: int = 3) -> "DigitSet":
         _check_order(n)
-        seen: dict[int, Digit] = {}
-        for raw in digits:
-            d = Digit(*raw)
-            if not all(0 <= c < n for c in d):
-                raise OutOfRange(f"digit {d} out of range for order {n}")
-            c = cell_index(d, n)
-            if c in seen:
-                raise DuplicateDigit(f"digit {d} listed twice")
-            seen[c] = d
-        if not seen:
-            raise ParseError("digit set must contain at least one digit")
-        cells = sorted(seen)
         code = 0
-        for c in cells:
-            code |= 1 << c
-        return cls(n=n, digits=tuple(seen[c] for c in cells), code=code)
+        for x, y, z in digits:
+            if not (0 <= x < n and 0 <= y < n and 0 <= z < n):
+                raise OutOfRange(f"digit {Digit(x, y, z)} out of range for order {n}")
+            bit = 1 << cell_index((x, y, z), n)
+            if code & bit:
+                raise DuplicateDigit(f"digit {Digit(x, y, z)} listed twice")
+            code |= bit
+        if not code:
+            raise ParseError("digit set must contain at least one digit")
+        return cls.from_code(code, n=n)
 
     @classmethod
     def from_code(cls, code: int, n: int = 3) -> "DigitSet":
@@ -139,18 +134,7 @@ def parse_digitset(text: str, n: int = 3) -> DigitSet:
     for token in tokens:
         if len(token) != 3 or not token.isdecimal():
             raise ParseError(f"malformed digit token {token!r}")
-    # the checks of DigitSet.from_digits, in its order, on the occupancy code
-    code = 0
-    for token in tokens:
-        v = int(token)
-        x, y, z = v // 100, v // 10 % 10, v % 10
-        if x >= n or y >= n or z >= n:
-            raise OutOfRange(f"digit {Digit(x, y, z)} out of range for order {n}")
-        bit = 1 << x + n * (y + n * z)
-        if code & bit:
-            raise DuplicateDigit(f"digit {Digit(x, y, z)} listed twice")
-        code |= bit
-    return DigitSet.from_code(code, n=n)
+    return DigitSet.from_digits([(v // 100, v // 10 % 10, v % 10) for v in map(int, tokens)], n=n)
 
 
 @dataclass(frozen=True)

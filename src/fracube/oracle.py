@@ -89,6 +89,25 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     return VoxelSet(digitset=ds, depth=depth, packed=out)
 
 
+def _pack(t: Sequence[int], b: int) -> int:
+    """The triple t packed as x + b*y + b^2*z."""
+    return t[0] + b * (t[1] + b * t[2])
+
+
+@lru_cache(maxsize=8)
+def _packed_inside(n: int) -> tuple[int, frozenset[int]]:
+    """The base b = 4n of the oracle's packed walks, and {-1,0,1}^3 packed.
+
+    Both walks step from a state p to n*p + s, where p is in {-1,0,1}^3 and
+    s is a difference of two digits, so |s_k| <= n - 1.  Every component of
+    such a sum lies in [1 - 2n, 2n - 1], within half the base, so packing is
+    linear on these sums and cannot carry, and a packed sum is in the
+    returned set exactly when every component is in {-1,0,1}.
+    """
+    b = 4 * n
+    return b, frozenset(_pack(t, b) for t in itertools.product((-1, 0, 1), repeat=3))
+
+
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
 def _boundary_slabs(ds: DigitSet) -> dict[Triple, tuple[frozenset[int], frozenset[int]]]:
     """offset alpha -> (steps, inside) of the certificate's difference walk.
@@ -99,27 +118,25 @@ def _boundary_slabs(ds: DigitSet) -> dict[Triple, tuple[frozenset[int], frozense
     alpha (coordinate 0 where alpha_k > 0, n^m - 1 where alpha_k < 0) is
     therefore the iterate of the digits with d_k = 0, resp. n - 1, on every
     pinned axis, and the far side of alpha is the near side of -alpha.
-    Triples are packed as x + b*y + b^2*z with b = 4n.  ``steps`` holds the
-    differences u - w of a near digit u and a far digit w, less their
-    difference -alpha_k*(n-1) on each pinned axis, so only the free axes
-    remain; ``inside`` is {-1,0,1}^3, shared by every offset.  A component
-    of n*p + s with p inside lies in [1 - 2n, 2n - 1], within half the
-    base, so such a sum is inside exactly when every component is in
-    {-1,0,1}.  Nothing here depends on the depth.
+    Triples are packed by :func:`_pack`.  ``steps`` holds the differences
+    u - w of a near digit u and a far digit w, less their difference
+    -alpha_k*(n-1) on each pinned axis, so only the free axes remain;
+    ``inside`` is {-1,0,1}^3, shared by every offset.  Nothing here depends
+    on the depth.
     """
     n = ds.n
-    b = 4 * n
+    b, inside = _packed_inside(n)
     near: dict[Triple, list[int]] = {alpha: [] for alpha in OFFSETS}
     for d in ds.digits:
         sides = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in d]
         for alpha in itertools.product(*sides):
             if alpha != (0, 0, 0):
-                near[alpha].append(d[0] + b * (d[1] + b * d[2]))
-    inside = frozenset(x + b * (y + b * z) for x, y, z in itertools.product((-1, 0, 1), repeat=3))
+                near[alpha].append(_pack(d, b))
     out: dict[Triple, tuple[frozenset[int], frozenset[int]]] = {}
-    for (x, y, z), side in near.items():
-        pinned = (n - 1) * (x + b * (y + b * z))
-        out[x, y, z] = frozenset(u - w + pinned for u in side for w in near[-x, -y, -z]), inside
+    for alpha, side in near.items():
+        pinned = (n - 1) * _pack(alpha, b)
+        far = near[-alpha[0], -alpha[1], -alpha[2]]
+        out[alpha] = frozenset(u - w + pinned for u in side for w in far), inside
     return out
 
 
@@ -224,10 +241,8 @@ def _cardinalities(ds: DigitSet) -> dict[Triple, FaceCardinality]:
     The search from alpha follows two paths of the pruned relation together
     with the difference of their partial sums; a difference that escapes
     {-1,0,1}^3 witnesses two distinct points, since both paths continue
-    forever.  Digits are packed as x + b*y + b^2*z with b = 4n, the way
-    :func:`_boundary_slabs` packs them: a component of n*s + d1 - d2 with s
-    inside lies in [1 - 2n, 2n - 1], within half the base, so the packed
-    difference is inside exactly when every component is in {-1,0,1}.
+    forever.  Digits are packed as in :func:`_packed_inside`, so a step is
+    one multiply-add and one test against the packed {-1,0,1}^3.
 
     The searches run from each key of the relation in turn.  One that runs
     dry without an escape leaves ``seen`` closed under successors (up to the
@@ -238,11 +253,10 @@ def _cardinalities(ds: DigitSet) -> dict[Triple, FaceCardinality]:
     queued states that reach the escape, so it shares nothing.
     """
     n = ds.n
-    b = 4 * n
+    b, inside = _packed_inside(n)
     relation = _relation(ds)
     index = {u: i for i, u in enumerate(relation)}
-    edges = [[(d[0] + b * (d[1] + b * d[2]), index[v]) for d, v in relation[u]] for u in relation]
-    inside = frozenset(x + b * (y + b * z) for x, y, z in itertools.product((-1, 0, 1), repeat=3))
+    edges = [[(_pack(d, b), index[v]) for d, v in relation[u]] for u in relation]
     out = dict.fromkeys(OFFSETS, FaceCardinality.EMPTY)
     settled: set[tuple[int, int, int]] = set()
     for alpha, i in index.items():

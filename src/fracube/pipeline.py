@@ -162,14 +162,12 @@ def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
         code = _next_code(code ^ low | ((1 << r) - 1) << lo - r)
 
 
-def _scan_chunk(args: tuple[int, int, int]) -> tuple[dict[int, int], int]:
+def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     """Filter the orbit-minimal codes from ``first`` to the end of its run.
 
     Returns ``({code: orbit size}, count)`` for the surviving orbit
-    minima, where ``count`` sums the orbit sizes of all the minima walked:
-    over every run of a size it is the number of codes of that size, so a
-    walk that skips or repeats an orbit shows there.  Each code's own cells
-    are its pieces.  Potential adjacency first, then automaton
+    minima, with the caller's ``count`` of the codes it covers; each code's
+    own cells are its pieces.  Potential adjacency first, then automaton
     liveness for exact connectivity, then the product search for the
     one-point property.  Both connectivity tests flood the code's cell bits:
     :func:`fracube.topology._component` through whole ``near`` masks, then
@@ -180,14 +178,12 @@ def _scan_chunk(args: tuple[int, int, int]) -> tuple[dict[int, int], int]:
     are invariant under the cube group, so a minimum's verdict holds for its
     whole orbit.
     """
-    n, _, first = args
+    n, _, first, count = args
     tables = tables_for_order(n)
     near, scc_live = tables.near, _scc_live
 
     survivors: dict[int, int] = {}
-    count = 0
     for this, orbit_size in _orbit_representatives(n, first):
-        count += orbit_size
         # potential adjacency: digit differences inside {-1,0,1}^3
         if _component(near, this & -this, this) != this:
             continue
@@ -291,7 +287,7 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
         raise BudgetExceeded(f"{total} candidates exceed the scan budget {MAX_CANDIDATES}")
     # the codes whose highest cell is h follow one another in Gosper order
     low = (1 << N - 1) - 1
-    chunks = [(n, N, low | 1 << h) for h in range(N - 1, n ** 3)]
+    chunks = [(n, N, low | 1 << h, comb(h, N - 1)) for h in range(N - 1, n ** 3)]
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers == 1:
         results = [_scan_chunk(chunk) for chunk in chunks]

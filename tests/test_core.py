@@ -95,8 +95,25 @@ def test_parse_errors():
         DigitSet.from_digits([])
 
 
-def _reference_compact(text: str, n: int = 3) -> DigitSet:
-    """The token route: every token becomes a digit tuple, then DigitSet.from_digits checks them."""
+def _reference_digits(digits, n: int) -> DigitSet:
+    """A digit set through a dict of cells: each digit checked in turn, then sorted by cell index."""
+    seen: dict[int, Digit] = {}
+    for raw in digits:
+        d = Digit(*raw)
+        if not all(0 <= c < n for c in d):
+            raise OutOfRange(f"digit {d} out of range for order {n}")
+        c = cell_index(d, n)
+        if c in seen:
+            raise DuplicateDigit(f"digit {d} listed twice")
+        seen[c] = d
+    if not seen:
+        raise ParseError("digit set must contain at least one digit")
+    cells = sorted(seen)
+    return DigitSet(n=n, digits=tuple(seen[c] for c in cells), code=sum(1 << c for c in cells))
+
+
+def _reference_tokens(text: str) -> list[tuple[int, int, int]]:
+    """The compact literal's tokens, one digit tuple each, character by character."""
     s = text.strip()
     if not s:
         raise ParseError("empty digit-set literal")
@@ -105,19 +122,19 @@ def _reference_compact(text: str, n: int = 3) -> DigitSet:
         if len(token) != 3 or not token.isdecimal():
             raise ParseError(f"malformed digit token {token!r}")
         digits.append(tuple(int(ch) for ch in token))
-    return DigitSet.from_digits(digits, n=n)
+    return digits
 
 
-def _outcome(parse, text, n):
+def _outcome(build, *args):
     try:
-        return parse(text, n=n)
+        return build(*args)
     except (OutOfRange, DuplicateDigit, ParseError) as exc:
         return type(exc), str(exc)
 
 
-def test_compact_parse_matches_the_token_route():
-    # the same digit set, or the same error class and text, as the route
-    # through DigitSet.from_digits; valid sets also agree with the braced form
+def test_digit_checks_match_the_reference():
+    # both literal forms and DigitSet.from_digits give the same digit set,
+    # or the same error class and text, as the dict-of-cells reference
     cases = [("000_000_111", 3), ("003", 3), ("00_111", 3), ("\u00b200_111", 3), ("", 3),
              ("021", 2), ("000", 3), ("020_101_110_111_112_121_202", 3), (" 202_020 ", 3),
              ("000_900_00x", 3), ("110_330_110", 3), ("110_011_110_330", 4), ("_", 3),
@@ -130,13 +147,21 @@ def test_compact_parse_matches_the_token_route():
             rng.shuffle(digits)
             cases.append(("_".join(digits), n))
             cases.append(("_".join(digits + digits[:1]), n))
+    outcomes = []
     for text, n in cases:
         got = _outcome(parse_digitset, text, n)
-        assert got == _outcome(_reference_compact, text, n), (text, n)
-        if isinstance(got, DigitSet):
-            assert parse_digitset(got.render_braced(), n=n) == got
-    errors = {got[0] for text, n in cases if not isinstance(got := _outcome(parse_digitset, text, n), DigitSet)}
+        tokens = _outcome(_reference_tokens, text)
+        if isinstance(tokens, list):
+            assert got == _outcome(_reference_digits, tokens, n), (text, n)
+            assert _outcome(DigitSet.from_digits, tokens, n) == got, (text, n)
+            braced = "{" + ", ".join(f"({x},{y},{z})" for x, y, z in tokens) + "}"
+            assert _outcome(parse_digitset, braced, n) == got, (text, n)
+        else:
+            assert got == tokens, (text, n)
+        outcomes.append(got)
+    errors = {got[0] for got in outcomes if not isinstance(got, DigitSet)}
     assert errors == {OutOfRange, DuplicateDigit, ParseError}
+    assert _outcome(DigitSet.from_digits, [], 3) == _outcome(_reference_digits, [], 3)
 
 
 def test_render_round_trip():
