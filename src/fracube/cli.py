@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import oracle, pipeline, topology
@@ -186,11 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = False
     try:
         if args.out:
+            created = not os.path.exists(args.out)
             open(args.out, "a", encoding="utf-8").close()  # fail before the work, not after
         return args.func(args)
     except (FracubeError, OSError) as exc:
+        if created and isinstance(exc, FracubeError):
+            os.remove(args.out)  # a refused request leaves no empty file behind
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

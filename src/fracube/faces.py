@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .core import Digit, DigitSet, _cell_digits
 from .errors import NotSingleton, OutOfRange
@@ -48,6 +47,13 @@ def offset_enc(v: Triple) -> int:
 class _Tables:
     """Static per-order tables shared by the automaton and the pipeline.
 
+    Triples are packed as x + b*y + b^2*z; ``packed[a]`` is digit(a) packed.
+    Every component of a difference of two digits, or of n*s + d - d' with
+    s in {-1,0,1}^3, lies in [1 - 2n, 2n - 1], so with any base above 2n no
+    such sum aliases onto {-1,0,1}^3: it is a key of ``state`` (the packed
+    {-1,0,1}^3, valued by offset code) exactly when every component is in
+    {-1,0,1}.  The base is 4n, which leaves room.
+
     pair_edges[a * ncells + b] lists the labelled edges by label: one
     (u_enc, 1 << w_enc) per edge u -> w labelled (digit(a), digit(b)), that
     is, per offset u with w = n*u + digit(b) - digit(a) an offset.  For
@@ -59,50 +65,22 @@ class _Tables:
         ncells = n ** 3
         self.ncells = ncells
         self.coords = _cell_digits(n)
-        d = 2 * n - 1
-        self.d3 = d ** 3
+        base = 4 * n
+        self.packed = packed = [x + base * (y + base * z) for x, y, z in self.coords]
+        offsets = {x + base * (y + base * z): e for (x, y, z), e in _OFFSET_CODES.items()}
+        self.state = state = {**offsets, 0: ZERO_ENC}
 
-        pair_edges: list[list[tuple[int, int]]] = [[] for _ in range(ncells * ncells)]
-        for u in OFFSETS:
-            axes = [(u[k],) if u[k] else (-1, 0, 1) for k in range(3)]
-            for w in product(*axes):
-                # the labels of u -> w are the pairs (d, d + delta) inside the grid
-                delta = tuple(w[k] - n * u[k] for k in range(3))
-                shift = delta[0] + n * delta[1] + n * n * delta[2]
-                edge = (offset_enc(u), 1 << offset_enc(w))
-                for a, xyz in enumerate(self.coords):
-                    if all(0 <= xyz[k] + delta[k] < n for k in range(3)):
-                        pair_edges[a * ncells + a + shift].append(edge)
-        self.pair_edges = tuple(tuple(e) for e in pair_edges)
-
-        # next2[s_enc * d3 + diff_enc] -> next difference state, -1 = escaped
-        next2 = [-1] * (27 * self.d3)
-        for s_enc in range(27):
-            s = (s_enc % 3 - 1, s_enc // 3 % 3 - 1, s_enc // 9 - 1)
-            for diff_enc in range(self.d3):
-                t = (diff_enc % d - (n - 1), diff_enc // d % d - (n - 1), diff_enc // (d * d) - (n - 1))
-                nxt = tuple(n * s[k] + t[k] for k in range(3))
-                if all(-1 <= c <= 1 for c in nxt):
-                    next2[s_enc * self.d3 + diff_enc] = (nxt[0] + 1) + 3 * (nxt[1] + 1) + 9 * (nxt[2] + 1)
-        self.next2 = next2
+        # the edges of a label depend only on its step digit(b) - digit(a)
+        steps = {step: tuple((u, 1 << state[n * p + step]) for p, u in offsets.items()
+                             if n * p + step in state)
+                 for step in {pb - pa for pa in packed for pb in packed}}
+        self.pair_edges = tuple(steps[pb - pa] for pa in packed for pb in packed)
 
         # pair_off[a * ncells + b] = code of digit(a) - digit(b), 255 = equal or far apart
-        pair_off = bytearray([255]) * (ncells * ncells)
-        for b, xyz in enumerate(self.coords):
-            for v in OFFSETS:
-                ax, ay, az = xyz[0] + v[0], xyz[1] + v[1], xyz[2] + v[2]
-                if 0 <= ax < n and 0 <= ay < n and 0 <= az < n:
-                    pair_off[(ax + n * ay + n * n * az) * ncells + b] = offset_enc(v)
-        self.pair_off = bytes(pair_off)
+        self.pair_off = pair_off = bytes(offsets.get(pa - pb, 255) for pa in packed for pb in packed)
         # near[a]: bitmask of the cells b with pair_off[a * ncells + b] != 255
         self.near = [sum(1 << b for b in range(ncells) if pair_off[a * ncells + b] != 255)
                      for a in range(ncells)]
-
-        # pair_diff[a * ncells + b] = encoded digit(a) - digit(b), the index into
-        # next2; the encoding is linear, so it is a difference of per-cell terms
-        enc = [x + d * (y + d * z) for x, y, z in self.coords]
-        bias = (n - 1) * (1 + d + d * d)
-        self.pair_diff = [ea - eb + bias for ea in enc for eb in enc]
 
 
 @lru_cache(maxsize=8)
@@ -159,22 +137,23 @@ def _escape_reachable(edges, start: int, tables: _Tables) -> bool:
     """True iff two live label paths from the start offset can diverge.
 
     Searches the product of the live automaton with itself and the 27
-    difference states; ``edges`` is the output of :func:`_live_edges`.
+    difference states; ``edges`` is the output of :func:`_live_edges`.  A
+    difference is packed as in :class:`_Tables`, so a step is one
+    multiply-add and one lookup in ``tables.state``.
     """
-    next2, d3 = tables.next2, tables.d3
-    pair_diff, ncells = tables.pair_diff, tables.ncells
+    n, packed, state = tables.n, tables.packed, tables.state
     seen = {(start * 27 + start) * 27 + ZERO_ENC}
-    todo = [(start, start, ZERO_ENC)]
+    todo = [(start, start, 0)]
     while todo:
         u1, u2, s = todo.pop()
-        sbase = s * d3
         for v1, a1 in edges[u1]:
-            row = a1 * ncells
+            step = n * s + packed[a1]
             for v2, a2 in edges[u2]:
-                ns = next2[sbase + pair_diff[row + a2]]
-                if ns < 0:
+                ns = step - packed[a2]
+                code = state.get(ns)
+                if code is None:
                     return True
-                key = (v1 * 27 + v2) * 27 + ns
+                key = (v1 * 27 + v2) * 27 + code
                 if key not in seen:
                     seen.add(key)
                     todo.append((v1, v2, ns))

@@ -177,6 +177,17 @@ def test_enumerate_checks_out_before_the_scan(monkeypatch, tmp_path, capsys):
     assert "No such file" in capsys.readouterr().err
 
 
+def test_failed_command_removes_only_the_out_file_it_made(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept\n")
+    for target in (new, old):
+        assert cli.main(["inspect", "000_999", "--out", str(target)]) == 2
+        assert cli.main(["enumerate", "--order", "2", "--pieces", "9", "--out", str(target)]) == 2
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    assert capsys.readouterr().err.count("error: ") == 4
+
+
 def test_inspect_large_set_has_graph_code():
     # 13 pieces, connected, one-point, not a dendrite
     out = run_cli("inspect", "010_110_020_120_220_201_111_211_121_221_102_112_212")

@@ -29,6 +29,14 @@ def random_digitset(rng, n=3, size=7):
     return DigitSet.from_code(sum(1 << c for c in rng.sample(range(n ** 3), size)), n=n)
 
 
+def boundary_digitset(rng, n):
+    # 8 to 20 draws, mostly on the grid's faces: an offset u with u_k != 0 has
+    # edges only from labels whose k-th coordinates are 0 and n - 1
+    coord = (0, 0, 0, 1, n - 2, n - 1, n - 1, n - 1)
+    cells = {cell_index(tuple(rng.choice(coord) for _ in range(3)), n) for _ in range(rng.randrange(8, 21))}
+    return DigitSet.from_code(sum(1 << c for c in cells), n=n)
+
+
 def test_offset_encoding():
     assert len(OFFSETS) == 26
     assert len(set(OFFSETS)) == 26
@@ -110,14 +118,16 @@ def _potentially_connected(ds):
 
 
 def _kernel_sets():
-    # 40 random digit sets each at n = 2, 3, 4 and every (3,4) prefilter passer
+    # 40 random digit sets each at n = 2, 3, 4, every (3,4) prefilter passer
+    # and 4 order-5 sets near the grid's faces
     rng = random.Random(67)
     sets = [random_digitset(rng, n, rng.randrange(1, n ** 3 + 1))
             for n in (2, 3, 4) for _ in range(40)]
     passers = [ds for ds in map(DigitSet.from_code, enumerate_codes(3, 4))
                if _potentially_connected(ds)]
     assert passers
-    return sets + passers
+    rng = random.Random(71)
+    return sets + passers + [boundary_digitset(rng, 5) for _ in range(4)]
 
 
 def _edge_relation(ds):

@@ -91,6 +91,20 @@ def test_no_dead_private_helpers():
     assert sorted(defined - used) == []
 
 
+def test_no_dead_order_tables():
+    # every table faces._Tables.__init__ sets on self must be read somewhere in the
+    # package as tables.<name>, the name every reader gives the per-order tables
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    init = next(f for tree in trees for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "_Tables"
+                for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    assigned = {node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) == "tables"}
+    assert {"pair_edges", "pair_off", "near"} <= assigned
+    assert sorted(assigned - read) == []
+
+
 # the oracle re-derives faces by its own route; it may take from the kernel module
 # only the offset list and its validator, and the verdict it is compared with
 ORACLE_MAY_READ = {"OFFSETS", "offset_enc", "classify_face", "FaceKind"}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fracube import oracle
-from fracube.core import DigitSet, parse_digitset
+from fracube.core import DigitSet, cell_index, parse_digitset
 from fracube.errors import BudgetExceeded
 from fracube.faces import OFFSETS, FaceKind, classify_face
 from fracube.oracle import (
@@ -27,6 +27,14 @@ FULL = DigitSet.from_code((1 << 27) - 1)
 
 def random_digitset(rng, n=3, size=7):
     return DigitSet.from_code(sum(1 << c for c in rng.sample(range(n ** 3), size)), n=n)
+
+
+def boundary_digitset(rng, n):
+    # 8 to 20 draws, mostly on the grid's faces: an offset u with u_k != 0 has
+    # edges only from labels whose k-th coordinates are 0 and n - 1
+    coord = (0, 0, 0, 1, n - 2, n - 1, n - 1, n - 1)
+    cells = {cell_index(tuple(rng.choice(coord) for _ in range(3)), n) for _ in range(rng.randrange(8, 21))}
+    return DigitSet.from_code(sum(1 << c for c in cells), n=n)
 
 
 def test_voxel_cell_counts():
@@ -139,9 +147,12 @@ def test_oracle_agrees_for_other_orders():
     rng = random.Random(43)
     cases = [random_digitset(rng, n=2, size=rng.randrange(2, 6)) for _ in range(6)]
     cases += [random_digitset(rng, n=4, size=rng.randrange(3, 9)) for _ in range(3)]
-    for ds in cases:
+    order5 = [boundary_digitset(rng, 5) for _ in range(4)]
+    for ds in cases + order5:
         for alpha in OFFSETS:
             assert faces_agree(ds, alpha), (ds, alpha)
+    # the order-5 sets reach every verdict, so the product search runs there too
+    assert {oracle_face_cardinality(ds, alpha) for ds in order5 for alpha in OFFSETS} == set(FaceCardinality)
 
 
 def _reference_face_empty(vox):
