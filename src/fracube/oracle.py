@@ -1,6 +1,7 @@
 """Independent brute-force checks for the exact face classification.
 
-Two deliberately separate routes re-derive face facts from first principles:
+Two deliberately separate routes re-derive face facts from first principles,
+both from one table of the digits on each side of the grid (:func:`_boundary_slabs`):
 
 * voxel iterates of the unit cube certify face *emptiness* (one-sided: the
   iterate contains the attractor, so disjoint closed cell unions prove the
@@ -10,7 +11,7 @@ Two deliberately separate routes re-derive face facts from first principles:
   level by level, through at most 9 states in {-1,0,1}^2;
 * a search over pairs of label paths re-decides the full empty/one/many
   trichotomy without the main path's successor masks.  The label relation
-  is solved per axis for each label step, and one backward pass prunes it
+  is enumerated over pairs of side digits, and one backward pass prunes it
   to the offsets that start an infinite path; a worklist of (offset pair,
   difference) states then looks for two paths whose points differ, one
   pass per digit set, where a search that finds none settles its states
@@ -35,10 +36,15 @@ Triple = tuple[int, int, int]
 DEFAULT_CELL_BUDGET = 2_000_000
 
 
+def _pack(t: Sequence[int], b: int) -> int:
+    """The triple t packed as x + b*y + b^2*z."""
+    return t[0] + b * (t[1] + b * t[2])
+
+
 @dataclass(frozen=True)
 class VoxelSet:
-    """Cells of the m-th subdivision iterate of the unit cube, packed as
-    (x*b + y)*b + z with b = n^m + 1."""
+    """Cells of the m-th subdivision iterate of the unit cube, packed by
+    :func:`_pack` with b = n^m + 1."""
 
     digitset: DigitSet
     depth: int
@@ -47,7 +53,7 @@ class VoxelSet:
     @property
     def cells(self) -> frozenset[Triple]:
         b = self.digitset.n ** self.depth + 1
-        return frozenset((p // (b * b), p // b % b, p % b) for p in self.packed)
+        return frozenset((p % b, p // b % b, p // (b * b)) for p in self.packed)
 
 
 def _iterate(packed: Sequence[int], n: int, depth: int) -> list[int]:
@@ -76,7 +82,7 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
                              f"{DEFAULT_CELL_BUDGET} cells and depth {limit - 1}")
     n = ds.n
     b = n ** depth + 1
-    packed = [(d[0] * b + d[1]) * b + d[2] for d in ds.digits]
+    packed = [_pack(d, b) for d in ds.digits]
     # a word is its first ``half`` letters and the rest, so the iterate is the
     # depth-half iterate plus n^half times the depth-(depth - half) one; every
     # coordinate of a sum stays below n^depth < b, so no packed sum carries
@@ -87,11 +93,6 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     out = frozenset([c + h for h in high for c in low])
     assert len(out) == len(ds) ** depth
     return VoxelSet(digitset=ds, depth=depth, packed=out)
-
-
-def _pack(t: Sequence[int], b: int) -> int:
-    """The triple t packed as x + b*y + b^2*z."""
-    return t[0] + b * (t[1] + b * t[2])
 
 
 @lru_cache(maxsize=8)
@@ -109,35 +110,29 @@ def _packed_inside(n: int) -> tuple[int, frozenset[int]]:
 
 
 @lru_cache(maxsize=1)  # callers finish one digit set before the next
-def _boundary_slabs(ds: DigitSet) -> dict[Triple, tuple[frozenset[int], frozenset[int]]]:
-    """offset alpha -> (steps, inside) of the certificate's difference walk.
+def _boundary_slabs(ds: DigitSet) -> dict[Triple, list[Triple]]:
+    """offset alpha -> the digits on the grid side that alpha points away from.
 
-    Coordinate k of a depth-m cell is sum_i n^i d_{i,k} with every term in
-    [0, n-1], so it is 0 exactly when every digit has d_k = 0 and
-    n^m - 1 exactly when every digit has d_k = n - 1.  The near side of
-    alpha (coordinate 0 where alpha_k > 0, n^m - 1 where alpha_k < 0) is
-    therefore the iterate of the digits with d_k = 0, resp. n - 1, on every
-    pinned axis, and the far side of alpha is the near side of -alpha.
-    Triples are packed by :func:`_pack`.  ``steps`` holds the differences
-    u - w of a near digit u and a far digit w, less their difference
-    -alpha_k*(n-1) on each pinned axis, so only the free axes remain;
-    ``inside`` is {-1,0,1}^3, shared by every offset.  Nothing here depends
-    on the depth.
+    That side holds the digits d with d_k = 0 where alpha_k > 0 and
+    d_k = n - 1 where alpha_k < 0.  Both oracle routes read only pairs of
+    the sides of alpha and -alpha, by the support fact of Bandt and Mesing:
+    * a label edge u -> n*u + d' - d has n + d'_k - d_k in {-1,0,1} on an
+      axis with u_k = 1 only when d'_k = 0 and d_k = n - 1, as
+      |d'_k - d_k| <= n - 1 (u_k = -1 mirrors it), so d is on the side of
+      -u and d' on the side of u, at every order n >= 2;
+    * coordinate k of a depth-m cell, sum_i n^i d_{i,k}, is 0 (n^m - 1)
+      exactly when every digit has d_k = 0 (n - 1), so the iterate's cells
+      on the side of alpha are the iterate of the side digits.
     """
     n = ds.n
-    b, inside = _packed_inside(n)
-    near: dict[Triple, list[int]] = {alpha: [] for alpha in OFFSETS}
+    sides: dict[Triple, list[Triple]] = {alpha: [] for alpha in OFFSETS}
     for d in ds.digits:
-        sides = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in d]
-        for alpha in itertools.product(*sides):
+        d = tuple(d)
+        pins = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in d]
+        for alpha in itertools.product(*pins):
             if alpha != (0, 0, 0):
-                near[alpha].append(_pack(d, b))
-    out: dict[Triple, tuple[frozenset[int], frozenset[int]]] = {}
-    for alpha, side in near.items():
-        pinned = (n - 1) * _pack(alpha, b)
-        far = near[-alpha[0], -alpha[1], -alpha[2]]
-        out[alpha] = frozenset(u - w + pinned for u in side for w in far), inside
-    return out
+                sides[alpha].append(d)
+    return sides
 
 
 class EmptinessCheck(enum.Enum):
@@ -149,24 +144,24 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
                       vox: VoxelSet | None = None) -> EmptinessCheck:
     """Certify F(alpha) empty when the closed voxel regions do not touch.
 
-    Closed cells c and c' of A_m and A_m + n^m*alpha can only intersect when
-    c sits on the grid side pointed at by alpha and c' on the opposite one
-    (the axis difference n^m*alpha_k +/- 1 forces c_k = 0, c'_k = n^m - 1),
-    and then they touch iff their free coordinates differ by at most 1 each.
-    Those cells are c = sum_i n^i u_i and c' = sum_i n^i w_i over near and
-    far digits, and their free difference is read from the top level down
-    as P <- n*P + s with s = u_i - w_i from ``_boundary_slabs``.  With r
-    levels left the rest is at most n^r - 1 in absolute value, so a
-    component of P outside {-1,0,1} keeps that component of the difference
-    outside it: the cells touch iff some m-step walk from 0 stays inside.
-    The face is certified empty iff the set of reached states runs dry
-    within m levels.  A nonzero component of a state can only stay as it
-    is (n + s_k is inside only at 1, as |s_k| <= n - 1), so after k + 1
-    levels (k free axes) the set only grows, and a set equal to the
-    previous one stays for good: the walk stops there.  A set nonempty at
-    level 3 thus never runs dry, the regions touch at every depth, and by
-    compactness the face is nonempty: from depth 3 on the check decides both
-    ways.  It builds no cells (no cell budget); a ``vox`` must match the request.
+    Closed cells c + n^m*alpha and c' of A_m + n^m*alpha and A_m can only
+    touch when c is a cell of the side of alpha and c' one of the side of
+    -alpha (:func:`_boundary_slabs`), and then they touch iff their free
+    coordinates differ by at most 1 each.  With c = sum_i n^i u_i and
+    c' = sum_i n^i w_i, their free difference is read from the top level down
+    as P <- n*P + s with s = u_i - w_i + (n-1)*alpha, 0 on the pinned axes,
+    packed as in :func:`_packed_inside`.  With r levels left the rest is at
+    most n^r - 1 in absolute value, so a component of P outside {-1,0,1} keeps
+    that component of the difference outside it: the cells touch iff some
+    m-step walk from 0 stays inside.  The face is certified empty iff the set
+    of reached states runs dry within m levels.  A nonzero component of a
+    state can only stay as it is (n + s_k is inside only at 1, as
+    |s_k| <= n - 1), so after k + 1 levels (k free axes) the set only grows,
+    and a set equal to the previous one stays for good: the walk stops there.
+    A set nonempty at level 3 thus never runs dry, the regions touch at every
+    depth, and by compactness the face is nonempty: from depth 3 on the check
+    decides both ways.  It builds no cells (no cell budget); a ``vox`` must
+    match the request.
     """
     offset_enc(alpha)  # validate
     if depth < 1:
@@ -175,7 +170,11 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
         raise ValueError("precomputed voxel set does not match the request")
     x, y, z = alpha
     n = ds.n
-    steps, inside = _boundary_slabs(ds)[x, y, z]
+    b, inside = _packed_inside(n)
+    sides = _boundary_slabs(ds)
+    pinned = (n - 1) * _pack(alpha, b)
+    far = [_pack(w, b) for w in sides[-x, -y, -z]]
+    steps = {_pack(u, b) - w + pinned for u in sides[x, y, z] for w in far}
     states, last = steps & inside, None  # level 1: from 0, step s reaches s
     for _ in range(depth - 1):
         if not states or states == last:
@@ -193,25 +192,20 @@ class FaceCardinality(enum.Enum):
 def _label_edges(ds: DigitSet) -> dict[Triple, list[tuple[Triple, Triple]]]:
     """offset -> [(first label d, target offset)] by direct enumeration.
 
-    u -> n*u + dp - d for every label pair.  The first labels d are grouped
-    by the step e = dp - d, and v = n*u + e is solved per axis: the pairs
-    (u_k, v_k) in {-1,0,1}^2 with v_k = n*u_k + e_k (one at most for n >= 3,
-    up to two at n = 2) multiply into the edges of that step, less those
-    with u = 0 or v = 0.
+    u -> v = n*u + d' - d for every label pair that gives an offset v, of
+    which only d on the side of -u and d' on the side of u can
+    (:func:`_boundary_slabs`).
     """
     n = ds.n
-    digits = [tuple(d) for d in ds.digits]
-    by_step: dict[Triple, list[Triple]] = {}
-    for d in digits:
-        for dp in digits:
-            by_step.setdefault((dp[0] - d[0], dp[1] - d[1], dp[2] - d[2]), []).append(d)
-    axis = {e: [(u, n * u + e) for u in (-1, 0, 1) if -1 <= n * u + e <= 1] for e in range(1 - n, n)}
+    sides = _boundary_slabs(ds)
     out: dict[Triple, list[tuple[Triple, Triple]]] = {u: [] for u in OFFSETS}
-    for e, firsts in by_step.items():
-        for (ux, vx), (uy, vy), (uz, vz) in itertools.product(axis[e[0]], axis[e[1]], axis[e[2]]):
-            if (ux or uy or uz) and (vx or vy or vz):
-                v = (vx, vy, vz)
-                out[ux, uy, uz].extend((d, v) for d in firsts)
+    for (ux, uy, uz), edges in out.items():
+        x, y, z = n * ux, n * uy, n * uz
+        for d in sides[-ux, -uy, -uz]:
+            for dp in sides[ux, uy, uz]:
+                v = (x + dp[0] - d[0], y + dp[1] - d[1], z + dp[2] - d[2])
+                if v in out:
+                    edges.append((d, v))
     return out
 
 

@@ -202,6 +202,11 @@ def _certificate_cases():
             start = (cell := rng.randrange(125)) - cell // step % 5 * step
             ds = DigitSet.from_code(ds.code | sum(1 << start + t * step for t in range(5)), n=5)
         cases.append((ds, rng.choice([m for m in range(1, 5) if len(ds) ** m <= 200_000])))
+    # order 5 with most cells on the grid's faces, so edge and corner sides hold digits
+    rng = random.Random(97)
+    for _ in range(6):
+        ds = boundary_digitset(rng, 5)
+        cases.append((ds, rng.choice([m for m in range(1, 4) if len(ds) ** m <= 20_000])))
     return cases
 
 
@@ -271,6 +276,7 @@ def test_label_edges_match_the_triple_loop():
               for n in (2, 3, 4) for _ in range(50)]
     rng = random.Random(79)
     cases += [random_digitset(rng, n=5, size=rng.randrange(2, 13)) for _ in range(30)]
+    cases += [boundary_digitset(rng, 5) for _ in range(10)]
     for ds in cases:
         edges, reference = oracle._label_edges(ds), _reference_label_edges(ds)
         assert {u: sorted(edges[u]) for u in OFFSETS} == {u: sorted(reference[u]) for u in OFFSETS}, ds
@@ -357,6 +363,8 @@ def _clear_oracle_caches():
 
 
 def test_label_relation_built_once_per_digit_set(monkeypatch):
+    # both oracle routes share one side table per digit set when called
+    # face by face, one digit set after the other, as `fracube verify` does
     rng = random.Random(47)
     cases = [parse_digitset(text) for _, text in bundled_labels()[::15]]
     cases += [random_digitset(rng, n=n, size=rng.randrange(2, 9)) for n in (2, 3, 4) for _ in range(3)]
@@ -365,15 +373,17 @@ def test_label_relation_built_once_per_digit_set(monkeypatch):
     for ds in cases:
         for alpha in OFFSETS:
             _clear_oracle_caches()
-            cold[ds, alpha] = oracle_face_cardinality(ds, alpha)
+            cold[ds, alpha] = oracle_face_cardinality(ds, alpha), oracle_face_empty(ds, alpha, 4)
     builds = []
     build = oracle._label_edges
     monkeypatch.setattr(oracle, "_label_edges", lambda ds: builds.append(ds) or build(ds))
     _clear_oracle_caches()
     for ds in cases:
         for alpha in OFFSETS:
-            assert oracle_face_cardinality(ds, alpha) is cold[ds, alpha], (ds, alpha)
+            warm = oracle_face_cardinality(ds, alpha), oracle_face_empty(ds, alpha, 4)
+            assert warm == cold[ds, alpha], (ds, alpha)
         assert builds.count(ds) == 1, ds
+    assert oracle._boundary_slabs.cache_info().misses == len(cases)
 
 
 def test_export_cells_format():
