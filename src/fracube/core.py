@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import DuplicateDigit, OutOfRange, ParseError
+from .errors import DuplicateDigit, InternalInconsistency, OutOfRange, ParseError
 
 MIN_ORDER = 2
 MAX_ORDER = 5
@@ -152,28 +152,12 @@ class Isometry:
         return Digit(*((n - 1 - d[p]) if f else d[p] for p, f in zip(self.perm, self.flips)))
 
     def apply_offset(self, v: tuple[int, int, int]) -> tuple[int, int, int]:
+        """Action on {-1,0,1}^3, the tests' reference for face equivariance."""
         return tuple((-v[p]) if f else v[p] for p, f in zip(self.perm, self.flips))
 
     def apply_point(self, point):
-        """Affine action on [0,1]^3 (works on any numeric coordinates)."""
+        """Affine action on [0,1]^3, the tests' reference for face equivariance."""
         return tuple((1 - point[p]) if f else point[p] for p, f in zip(self.perm, self.flips))
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Return self o other (apply ``other`` first)."""
-        perm = tuple(other.perm[p] for p in self.perm)
-        flips = tuple(f ^ other.flips[p] for p, f in zip(self.perm, self.flips))
-        return Isometry(perm, flips)
-
-    def inverse(self) -> "Isometry":
-        inv_perm = [0, 0, 0]
-        for i, p in enumerate(self.perm):
-            inv_perm[p] = i
-        flips = tuple(self.flips[inv_perm[i]] for i in range(3))
-        return Isometry(tuple(inv_perm), flips)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2) and not any(self.flips)
 
 
 # Fixed, deterministic order: permutations lexicographic, then flip bits.
@@ -228,7 +212,8 @@ class CanonicalForm:
     witness: Isometry
 
     def __post_init__(self) -> None:
-        assert self.orbit_size * self.stabilizer_size == len(CUBE_GROUP)
+        if self.orbit_size * self.stabilizer_size != len(CUBE_GROUP):
+            raise InternalInconsistency(f"orbit {self.orbit_size} x stabilizer {self.stabilizer_size} != 48")
 
 
 # Codes are read in slices of this many bits, one lookup table per slice.

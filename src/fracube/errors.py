@@ -30,7 +30,7 @@ class Disconnected(FracubeError):
 
 
 class InternalInconsistency(FracubeError):
-    """Two decision routes that must agree produced different answers."""
+    """Two decision routes that must agree differ, or a result breaks a fact it must satisfy."""
 
 
 class LabelConflict(FracubeError):

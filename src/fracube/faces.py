@@ -168,38 +168,24 @@ class FaceKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class TriadicPoint:
-    """Exact point with eventually periodic base-n coordinate expansions.
+    """Exact point 0.a(c) per axis in base n: the preperiod a, then one digit c repeated.
 
-    Its coordinates, ``value``, are computed on first use: a face verdict
+    One digit, since the smallest label path reaches an offset again only
+    through a self-loop.  ``value`` is computed on first use: a face verdict
     that is never printed or compared needs only the digits.
     """
 
     n: int
     preperiod: tuple[Digit, ...]
-    period: tuple[Digit, ...]
-
-    @classmethod
-    def from_digits(cls, n: int, preperiod, period) -> "TriadicPoint":
-        pre = tuple(Digit(*d) for d in preperiod)
-        per = tuple(Digit(*d) for d in period)
-        if not per:
-            raise ValueError("periodic part must be nonempty")
-        return cls(n=n, preperiod=pre, period=per)
+    period: Digit
 
     @cached_property
     def value(self) -> tuple[Fraction, Fraction, Fraction]:
-        n, pre, per = self.n, self.preperiod, self.period
-        p, q = len(pre), len(per)
-        value = []
-        for k in range(3):
-            a = 0
-            for d in pre:
-                a = a * n + d[k]
-            b = 0
-            for d in per:
-                b = b * n + d[k]
-            value.append(Fraction(a * (n ** q - 1) + b, n ** p * (n ** q - 1)))
-        return tuple(value)
+        n, a = self.n, (0, 0, 0)
+        for d in self.preperiod:
+            a = (a[0] * n + d[0], a[1] * n + d[1], a[2] * n + d[2])
+        den = n ** len(self.preperiod) * (n - 1)
+        return tuple(Fraction(a[k] * (n - 1) + self.period[k], den) for k in range(3))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TriadicPoint) and self.value == other.value
@@ -267,7 +253,7 @@ def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
     while w != u:
         labels.append(tables.coords[a])
         u, (w, a) = w, edges[w][0]
-    return FaceClass(FaceKind.POINT, TriadicPoint(digitset.n, tuple(labels), (tables.coords[a],)))
+    return FaceClass(FaceKind.POINT, TriadicPoint(digitset.n, tuple(labels), tables.coords[a]))
 
 
 def face_point(digitset: DigitSet, alpha: Triple) -> TriadicPoint:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import DigitSet
-from .errors import BudgetExceeded, InvalidRequest
+from .errors import BudgetExceeded, InternalInconsistency, InvalidRequest
 from .faces import OFFSETS, offset_enc
 from . import faces
 
@@ -91,7 +91,8 @@ def voxelize(ds: DigitSet, depth: int) -> VoxelSet:
     scale = n ** half
     high = [scale * c for c in _iterate(packed, n, depth - half)]
     out = frozenset([c + h for h in high for c in low])
-    assert len(out) == len(ds) ** depth
+    if len(out) != len(ds) ** depth:
+        raise InternalInconsistency(f"{len(out)} cells at depth {depth}, not {len(ds)}^{depth}")
     return VoxelSet(digitset=ds, depth=depth, packed=out)
 
 
@@ -167,7 +168,7 @@ def oracle_face_empty(ds: DigitSet, alpha: Triple, depth: int,
     if depth < 1:
         raise InvalidRequest("depth must be >= 1")
     if vox is not None and (vox.digitset != ds or vox.depth != depth):
-        raise ValueError("precomputed voxel set does not match the request")
+        raise InvalidRequest("precomputed voxel set does not match the request")
     x, y, z = alpha
     n = ds.n
     b, inside = _packed_inside(n)
@@ -345,7 +346,7 @@ def export_mesh(vox: VoxelSet, fmt: str) -> str:
         return export_cells(vox)
     if fmt == "obj":
         return export_obj(vox)
-    raise ValueError(f"unknown mesh format {fmt!r}")
+    raise InvalidRequest(f"unknown mesh format {fmt!r}")
 
 
 def faces_agree(ds: DigitSet, alpha: Triple) -> bool:

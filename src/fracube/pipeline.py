@@ -547,4 +547,4 @@ def render_report(report: ClassificationReport, fmt: str) -> str:
         return render_csv(report)
     if fmt == "md":
         return render_markdown(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise InvalidRequest(f"unknown report format {fmt!r}")

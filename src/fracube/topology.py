@@ -138,7 +138,6 @@ def intersection_graph(ds: DigitSet) -> PieceGraph:
 class BipartiteGraph:
     """Pieces (white) against the distinct intersection points (black)."""
 
-    digitset: DigitSet
     n_pieces: int
     points: tuple[TriadicPoint, ...]
     edges: frozenset[tuple[int, int]]  # (piece index, point index)
@@ -171,7 +170,6 @@ def _bipartite(graph: PieceGraph) -> BipartiteGraph:
     order = sorted(range(len(points)), key=lambda p: points[p].value)
     renumber = {old: new for new, old in enumerate(order)}
     return BipartiteGraph(
-        digitset=ds,
         n_pieces=graph.n_vertices,
         points=tuple(points[p] for p in order),
         edges=frozenset((i, renumber[p]) for i, p in edges),

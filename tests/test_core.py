@@ -4,6 +4,7 @@ import pytest
 
 from fracube.core import (
     CUBE_GROUP,
+    CanonicalForm,
     Digit,
     DigitSet,
     _cell_permutations,
@@ -17,7 +18,7 @@ from fracube.core import (
     parse_digitset,
     transform_code,
 )
-from fracube.errors import DuplicateDigit, OutOfRange, ParseError
+from fracube.errors import DuplicateDigit, InternalInconsistency, OutOfRange, ParseError
 
 PLUS = "011_101_110_111_112_121_211"
 
@@ -180,16 +181,15 @@ def test_group_has_48_distinct_elements():
 
 
 def test_group_closure_and_inverses():
-    members = {(g.perm, g.flips) for g in CUBE_GROUP}
-    for g in CUBE_GROUP:
-        inv = g.inverse()
-        assert (inv.perm, inv.flips) in members
-        assert g.compose(inv).is_identity
-        assert inv.compose(g).is_identity
-    rng = random.Random(5)
-    for _ in range(200):
-        g, h = rng.choice(CUBE_GROUP), rng.choice(CUBE_GROUP)
-        assert (g.compose(h).perm, g.compose(h).flips) in members
+    # the program reads the group through its cell tables: they hold the identity and are
+    # closed under composition, and in a finite set closure gives the inverses
+    for n in (2, 3):
+        tables = {tuple(t) for t in _cell_permutations(n)}
+        assert len(tables) == 48
+        assert tuple(range(n ** 3)) in tables
+        for g in tables:
+            for h in tables:
+                assert tuple(g[c] for c in h) in tables
 
 
 def test_group_action_is_faithful_on_cells():
@@ -210,12 +210,15 @@ def test_apply_isometry_examples():
 
 def test_apply_isometry_preserves_size_and_inverts():
     rng = random.Random(3)
+    tables = _cell_permutations(3)
     for _ in range(20):
         ds = random_digitset(rng)
-        for g in rng.sample(CUBE_GROUP, 6):
-            img = apply_isometry(g, ds)
+        for i in rng.sample(range(48), 6):
+            img = apply_isometry(CUBE_GROUP[i], ds)
             assert len(img) == len(ds)
-            assert apply_isometry(g.inverse(), img) == ds
+            # the inverse is the element whose cell table undoes CUBE_GROUP[i]'s
+            inv = next(g for g, t in zip(CUBE_GROUP, tables) if all(t[c] == j for j, c in enumerate(tables[i])))
+            assert apply_isometry(inv, img) == ds
 
 
 def test_offsets_map_to_offsets():
@@ -232,6 +235,8 @@ def test_canonical_form_examples():
     corner = canonical_form(parse_digitset("000"))
     assert corner.canonical == parse_digitset("000")
     assert corner.orbit_size == 8
+    with pytest.raises(InternalInconsistency, match="orbit 8 x stabilizer 5 != 48"):
+        CanonicalForm(corner.canonical, 8, 5, corner.witness)
 
 
 def test_canonical_form_invariance_and_idempotence():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, cell_index, parse_digitset
+from fracube.core import CUBE_GROUP, Digit, DigitSet, apply_isometry, cell_index, parse_digitset
 from fracube.errors import NotSingleton, OutOfRange
 from fracube.faces import (
     OFFSETS,
@@ -217,7 +217,6 @@ def test_point_lies_on_face_and_negation_symmetry():
             neg = (-alpha[0], -alpha[1], -alpha[2])
             assert classify_face(ds, neg).kind is fc.kind
             if fc.is_point:
-                assert len(fc.point.period) == 1  # the walk ends at a self-loop
                 for k in range(3):
                     if alpha[k] == 1:
                         assert fc.point.value[k] == 1
@@ -232,30 +231,29 @@ def test_point_denominator_divides_period_form():
     for alpha in OFFSETS:
         fc = classify_face(ds, alpha)
         if fc.is_point:
-            p, q = len(fc.point.preperiod), len(fc.point.period)
-            bound = 3 ** p * (3 ** q - 1)
+            # a one-digit period: 0.a(c) in base 3 is (2a + c) / (3^p * 2)
+            bound = 3 ** len(fc.point.preperiod) * 2
             for c in fc.point.value:
                 assert bound % c.denominator == 0
 
 
 def test_triadic_point_positional_formula():
     # 0.1(2)... in base 3 per axis: 1/3 + 2/(3*2) = 2/3
-    pt = TriadicPoint.from_digits(3, [(1, 0, 0)], [(2, 0, 0)])
+    pt = TriadicPoint(3, (Digit(1, 0, 0),), Digit(2, 0, 0))
     assert pt.value[0] == Fraction(2, 3)
     assert pt.value[1] == 0
     # pure period (0.(1)) = 1/2
-    pt2 = TriadicPoint.from_digits(3, [], [(1, 1, 1)])
-    assert pt2.value == (Fraction(1, 2),) * 3
-    with pytest.raises(ValueError):
-        TriadicPoint.from_digits(3, [(0, 0, 0)], [])
+    assert TriadicPoint(3, (), Digit(1, 1, 1)).value == (Fraction(1, 2),) * 3
+    # base 5: 0.0(4) = 1/5, 0.2(0) = 2/5, 0.4(1) = 4/5 + 1/20
+    pt5 = TriadicPoint(5, (Digit(0, 2, 4),), Digit(4, 0, 1))
+    assert pt5.value == (Fraction(1, 5), Fraction(2, 5), Fraction(17, 20))
 
 
 def _series_value(pt: TriadicPoint) -> tuple[Fraction, Fraction, Fraction]:
     """The point's coordinates summed digit by digit, the period as a geometric series."""
-    n, p, q = pt.n, len(pt.preperiod), len(pt.period)
+    n, p = pt.n, len(pt.preperiod)
     head = [sum(Fraction(d[k], n ** (i + 1)) for i, d in enumerate(pt.preperiod)) for k in range(3)]
-    cycle = [sum(Fraction(d[k], n ** (i + 1)) for i, d in enumerate(pt.period)) for k in range(3)]
-    return tuple(head[k] + cycle[k] * n ** q / (n ** p * (n ** q - 1)) for k in range(3))
+    return tuple(head[k] + Fraction(pt.period[k], n ** p * (n - 1)) for k in range(3))
 
 
 def test_points_are_computed_on_demand(monkeypatch):
@@ -280,7 +278,7 @@ def test_points_are_computed_on_demand(monkeypatch):
     for pt in points:
         assert pt.value == _series_value(pt)
         # the same point with its period unrolled once
-        again = TriadicPoint.from_digits(pt.n, pt.preperiod + pt.period, pt.period)
+        again = TriadicPoint(pt.n, pt.preperiod + (pt.period,), pt.period)
         assert again == pt and hash(again) == hash(pt)
     assert len(set(points)) == len({_series_value(pt) for pt in points})
     for ds in rows:
@@ -324,7 +322,8 @@ def test_point_extraction_is_path_independent():
                 d, u = max(e for e in label_edges[u] if e[1] in live)
                 labels.append(d)
             t = seen[u]
-            other = TriadicPoint.from_digits(ds.n, labels[:t], labels[t:])
+            assert t == len(labels) - 1  # this walk too comes back only through a self-loop
+            other = TriadicPoint(ds.n, tuple(labels[:t]), labels[t])
             assert other.value == fc.point.value
 
 

@@ -160,6 +160,15 @@ def test_every_error_class_is_raised():
     assert len(errors) > 10
     raised = set().union(*(_raised_names(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))))
     assert sorted(errors - raised - {"FracubeError"}) == []
+    # and every error the package raises is one of its own, so callers can catch FracubeError
+    assert sorted(raised - errors) == []
+
+
+def test_no_assert_statements():
+    # python -O drops an assert, and one that fires shows the CLI user a traceback
+    asserts = [f"{p.name}:{node.lineno}" for p in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_benchmark_trace_sites_exist(monkeypatch):

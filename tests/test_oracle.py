@@ -5,7 +5,7 @@ import pytest
 
 from fracube import oracle
 from fracube.core import DigitSet, cell_index, parse_digitset
-from fracube.errors import BudgetExceeded
+from fracube.errors import BudgetExceeded, InternalInconsistency, InvalidRequest
 from fracube.faces import OFFSETS, FaceKind, classify_face
 from fracube.oracle import (
     EmptinessCheck,
@@ -65,19 +65,27 @@ def test_voxel_budget():
     # one cell never fills the budget, but its depth is bounded like any other
     with pytest.raises(BudgetExceeded, match="and depth 20"):
         voxelize(DigitSet.from_digits([(0, 2, 1)]), 21)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRequest):
         voxelize(TABLE2_FIRST, 0)
     # the certificate builds no cells, so the cell budget does not bound its
     # depth: depth 9 gives the depth-3 verdict, which holds at every depth from 3 on
     for alpha in OFFSETS:
         assert oracle_face_empty(TABLE2_FIRST, alpha, 9) is oracle_face_empty(TABLE2_FIRST, alpha, 3), alpha
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRequest):
         oracle_face_empty(TABLE2_FIRST, (1, 0, 0), 0)
     # a precomputed iterate must match the request's depth and digit set
     vox = voxelize(TABLE2_FIRST, 2)
     for ds, depth in ((TABLE2_FIRST, 3), (CORNERS, 2)):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(InvalidRequest, match="does not match"):
             oracle_face_empty(ds, (1, 0, 0), depth, vox=vox)
+
+
+def test_voxelize_checks_its_cell_count(monkeypatch):
+    # a repeated cell stands for two words whose packed sums collide
+    iterate = oracle._iterate
+    monkeypatch.setattr(oracle, "_iterate", lambda *args: (cells := iterate(*args))[:-1] + cells[:1])
+    with pytest.raises(InternalInconsistency, match=r"36 cells at depth 2, not 7\^2"):
+        voxelize(TABLE2_FIRST, 2)
 
 
 def _reference_voxel_cells(ds, depth):
@@ -387,8 +395,10 @@ def test_label_relation_built_once_per_digit_set(monkeypatch):
 
 
 def test_export_cells_format():
-    text = export_cells(voxelize(SEGMENT, 1))
-    assert text == "0 0 0\n0 0 1\n0 0 2\n"
+    vox = voxelize(SEGMENT, 1)
+    assert export_cells(vox) == "0 0 0\n0 0 1\n0 0 2\n"
+    with pytest.raises(InvalidRequest, match="unknown mesh format 'stl'"):
+        oracle.export_mesh(vox, "stl")
 
 
 def test_export_obj_counts():

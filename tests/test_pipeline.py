@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from fracube.core import DigitSet, canonical_form, parse_digitset
-from fracube.errors import InternalInconsistency, LabelConflict, UnknownCode
+from fracube.errors import InternalInconsistency, InvalidRequest, LabelConflict, UnknownCode
 from fracube.pipeline import (
     bundled_labels,
     classify_all,
@@ -16,6 +16,7 @@ from fracube.pipeline import (
     render_csv,
     render_json,
     render_markdown,
+    render_report,
     verify_against_tables,
 )
 
@@ -504,6 +505,8 @@ def test_render_formats_on_labeled_report(full_report):
     assert "## Dendrites" in md and "## Non-dendrites" in md
     assert "| graph | 7_11 | 7_10 | 7_9 | 7_5 | 7_6 |" in md
     assert "| N | 19 | 3 | 12 | 3 | 1 |" in md
+    with pytest.raises(InvalidRequest, match="unknown report format 'xml'"):
+        render_report(labeled, "xml")
 
 
 def test_filter_is_isometry_invariant_spot_check(full_report):
