@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import DuplicateDigit, InternalInconsistency, OutOfRange, ParseError
@@ -49,13 +49,18 @@ def _check_order(n: int) -> None:
         raise OutOfRange(f"order must be in [{MIN_ORDER}, {MAX_ORDER}], got {n}")
 
 
-@dataclass(frozen=True)
 class DigitSet:
     """Immutable digit set of order ``n`` with occupancy code ``code``."""
 
-    n: int
-    digits: tuple[Digit, ...]
-    code: int
+    __slots__ = ("_n", "_digits", "_code")
+
+    def __init__(self, n: int, digits: tuple[Digit, ...], code: int) -> None:
+        self._n, self._digits, self._code = n, digits, code
+
+    # read-only: a property without a setter refuses assignment with AttributeError
+    n = property(attrgetter("_n"))
+    digits = property(attrgetter("_digits"))
+    code = property(attrgetter("_code"))
 
     @classmethod
     def from_digits(cls, digits: Iterable[tuple[int, int, int]], n: int = 3) -> "DigitSet":
@@ -81,19 +86,26 @@ class DigitSet:
         digits = tuple(table[c] for c in range(code.bit_length()) if code >> c & 1)
         return cls(n=n, digits=digits, code=code)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DigitSet):
+            return NotImplemented
+        return self._code == other._code and self._n == other._n
+
     def __hash__(self) -> int:
-        # equal sets have equal codes, so this agrees with the generated __eq__;
-        # every lru_cache keyed by a digit set hashes it
-        return self.code
+        # equal sets have equal codes; every lru_cache keyed by a digit set hashes it
+        return self._code
+
+    def __repr__(self) -> str:
+        return f"DigitSet(n={self._n!r}, digits={self._digits!r}, code={self._code!r})"
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return len(self._digits)
 
     def __iter__(self):
-        return iter(self.digits)
+        return iter(self._digits)
 
     def cells(self) -> tuple[int, ...]:
-        return tuple(cell_index(d, self.n) for d in self.digits)
+        return tuple(cell_index(d, self._n) for d in self._digits)
 
     def render_compact(self) -> str:
         """Canonical text form: underscore-joined xyz strings, sorted."""
@@ -137,8 +149,7 @@ def parse_digitset(text: str, n: int = 3) -> DigitSet:
     return DigitSet.from_digits([(v // 100, v // 10 % 10, v % 10) for v in map(int, tokens)], n=n)
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(NamedTuple):
     """Signed coordinate permutation: d[i] -> flip_i(d[perm[i]]).
 
     ``flips[i]`` sends coordinate c to (n-1)-c after the permutation; the
@@ -202,18 +213,24 @@ def transform_code(g_index: int, code: int, n: int) -> int:
     return _image(_cell_permutations(n)[g_index], code)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Orbit minimum of a digit set under the 48 cube symmetries."""
-
+class _CanonicalFields(NamedTuple):
     canonical: DigitSet
     orbit_size: int
     stabilizer_size: int
     witness: Isometry
 
-    def __post_init__(self) -> None:
-        if self.orbit_size * self.stabilizer_size != len(CUBE_GROUP):
-            raise InternalInconsistency(f"orbit {self.orbit_size} x stabilizer {self.stabilizer_size} != 48")
+
+class CanonicalForm(_CanonicalFields):
+    """Orbit minimum of a digit set under the 48 cube symmetries."""
+
+    __slots__ = ()
+
+    # typing.NamedTuple refuses a __new__ of its own, hence the subclass
+    def __new__(cls, *args, **kwargs):
+        form = super().__new__(cls, *args, **kwargs)
+        if form.orbit_size * form.stabilizer_size != len(CUBE_GROUP):
+            raise InternalInconsistency(f"orbit {form.orbit_size} x stabilizer {form.stabilizer_size} != 48")
+        return form
 
 
 # Codes are read in slices of this many bits, one lookup table per slice.

@@ -16,9 +16,10 @@ the live subautomaton with the 27 difference states therefore decides
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
 
 from .core import Digit, DigitSet, _cell_digits
 from .errors import NotSingleton, OutOfRange
@@ -166,7 +167,6 @@ class FaceKind(enum.Enum):
     MULTI = "multi"
 
 
-@dataclass(frozen=True, eq=False)
 class TriadicPoint:
     """Exact point 0.a(c) per axis in base n: the preperiod a, then one digit c repeated.
 
@@ -175,17 +175,25 @@ class TriadicPoint:
     that is never printed or compared needs only the digits.
     """
 
-    n: int
-    preperiod: tuple[Digit, ...]
-    period: Digit
+    __slots__ = ("_n", "_preperiod", "_period", "_value")
 
-    @cached_property
+    def __init__(self, n: int, preperiod: tuple[Digit, ...], period: Digit) -> None:
+        self._n, self._preperiod, self._period, self._value = n, preperiod, period, None
+
+    # read-only: a property without a setter refuses assignment with AttributeError
+    n = property(attrgetter("_n"))
+    preperiod = property(attrgetter("_preperiod"))
+    period = property(attrgetter("_period"))
+
+    @property
     def value(self) -> tuple[Fraction, Fraction, Fraction]:
-        n, a = self.n, (0, 0, 0)
-        for d in self.preperiod:
-            a = (a[0] * n + d[0], a[1] * n + d[1], a[2] * n + d[2])
-        den = n ** len(self.preperiod) * (n - 1)
-        return tuple(Fraction(a[k] * (n - 1) + self.period[k], den) for k in range(3))
+        if self._value is None:
+            n, a = self._n, (0, 0, 0)
+            for d in self._preperiod:
+                a = (a[0] * n + d[0], a[1] * n + d[1], a[2] * n + d[2])
+            den = n ** len(self._preperiod) * (n - 1)
+            self._value = tuple(Fraction(a[k] * (n - 1) + self._period[k], den) for k in range(3))
+        return self._value
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TriadicPoint) and self.value == other.value
@@ -193,12 +201,14 @@ class TriadicPoint:
     def __hash__(self) -> int:
         return hash(self.value)
 
+    def __repr__(self) -> str:
+        return f"TriadicPoint(n={self._n!r}, preperiod={self._preperiod!r}, period={self._period!r})"
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.value) + ")"
 
 
-@dataclass(frozen=True)
-class FaceClass:
+class FaceClass(NamedTuple):
     kind: FaceKind
     point: TriadicPoint | None = None
 

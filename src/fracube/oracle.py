@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import DigitSet
 from .errors import BudgetExceeded, InternalInconsistency, InvalidRequest
@@ -41,8 +40,7 @@ def _pack(t: Sequence[int], b: int) -> int:
     return t[0] + b * (t[1] + b * t[2])
 
 
-@dataclass(frozen=True)
-class VoxelSet:
+class VoxelSet(NamedTuple):
     """Cells of the m-th subdivision iterate of the unit cube, packed by
     :func:`_pack` with b = n^m + 1."""
 

@@ -20,17 +20,15 @@ so the resulting report is byte-identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import product
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import (
     CUBE_GROUP,
@@ -226,8 +224,7 @@ def _translate_codes(code: int, n: int) -> list[int]:
     return sorted({canonical_code(code << s if s >= 0 else code >> -s, n) for s in shifts})
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One isometry class of surviving fractal cubes.
 
     Its digit sets are the images of ``canonical`` and of each of
@@ -249,16 +246,14 @@ class ClassRecord:
         return self.canonical.render_compact()
 
 
-@dataclass(frozen=True)
-class GraphType:
+class GraphType(NamedTuple):
     graph_code: GraphCode
     dendrite: bool
     multiplicity: int
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     order: int
     pieces: int
     candidates: int
@@ -404,15 +399,13 @@ def match_labels(report: ClassificationReport,
     for gc, label in code_label.items():
         if gc not in report_codes:
             raise UnknownCode(f"label {label} maps to code {gc} absent from the report")
-    return replace(
-        report,
-        classes=tuple(replace(r, label=code_label.get(r.graph_code)) for r in report.classes),
-        graph_types=tuple(replace(t, label=code_label.get(t.graph_code)) for t in report.graph_types),
+    return report._replace(
+        classes=tuple(r._replace(label=code_label.get(r.graph_code)) for r in report.classes),
+        graph_types=tuple(t._replace(label=code_label.get(t.graph_code)) for t in report.graph_types),
     )
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     total: int
     matched: int
     mismatches: tuple[str, ...]
@@ -497,6 +490,8 @@ def render_json(report: ClassificationReport) -> str:
 
 
 def render_csv(report: ClassificationReport) -> str:
+    import csv  # only here: json is the default format, and every process would pay for it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["canonical", "orbit_size", "graph_code", "dendrite", "edges", "label"])

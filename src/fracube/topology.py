@@ -8,7 +8,7 @@ reduces to the face classification plus exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DigitSet
 from .errors import Disconnected, InternalInconsistency, OnePointViolation
@@ -74,8 +74,7 @@ def _spans(code: int, live: int, tables) -> bool:
     return reached == code
 
 
-@dataclass(frozen=True)
-class PieceGraph:
+class PieceGraph(NamedTuple):
     """Simple graph on the pieces; edges carry the offset and face class."""
 
     digitset: DigitSet
@@ -134,8 +133,7 @@ def intersection_graph(ds: DigitSet) -> PieceGraph:
     return g
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     """Pieces (white) against the distinct intersection points (black)."""
 
     n_pieces: int
@@ -212,8 +210,7 @@ def is_dendrite(ds: DigitSet) -> bool:
     return _dendrite(graph, _bipartite(graph))
 
 
-@dataclass(frozen=True, order=True)
-class GraphCode:
+class GraphCode(NamedTuple):
     """Canonical form of a simple graph: minimal adjacency bits over
     degree-compatible vertex orderings."""
 

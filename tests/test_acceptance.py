@@ -72,7 +72,7 @@ def test_criterion_1_candidate_count():
     _verdict(1, ok, f"{count} candidates = C(27,7) = {independent} in {elapsed:.2f}s")
     assert count == 888030 == independent
     assert elapsed < 1.0
-    # the object stream agrees (untimed; dataclass construction dominates)
+    # the object stream agrees (untimed; DigitSet construction dominates)
     assert sum(1 for _ in enumerate_all(3, 7)) == 888030
 
 

@@ -1,11 +1,13 @@
 import json
-from dataclasses import replace
 from math import comb
 
 import pytest
 
+from fracube import core, faces, oracle, pipeline, topology
 from fracube.core import DigitSet, canonical_form, parse_digitset
 from fracube.errors import InternalInconsistency, InvalidRequest, LabelConflict, UnknownCode
+from fracube.faces import TriadicPoint, classify_face
+from fracube.oracle import voxelize
 from fracube.pipeline import (
     bundled_labels,
     classify_all,
@@ -19,6 +21,7 @@ from fracube.pipeline import (
     render_report,
     verify_against_tables,
 )
+from fracube.topology import GraphCode, bipartite_graph, graph_code, intersection_graph
 
 
 def test_enumeration_counts_small():
@@ -465,9 +468,9 @@ def test_report_disagreements_are_reported(full_report):
     code = canonical_form(parse_digitset(row[1])).canonical.code
     rec = next(r for r in full_report.classes if code in {d.code for d in (r.canonical, *r.translates)})
     other = next(t.graph_code for t in full_report.graph_types if t.graph_code != rec.graph_code)
-    without = replace(full_report, classes=tuple(r for r in full_report.classes if r is not rec))
-    swapped = replace(full_report, classes=tuple(
-        replace(r, graph_code=other) if r is rec else r for r in full_report.classes))
+    without = full_report._replace(classes=tuple(r for r in full_report.classes if r is not rec))
+    swapped = full_report._replace(classes=tuple(
+        r._replace(graph_code=other) if r is rec else r for r in full_report.classes))
     assert verify_against_tables(without, (row,)).mismatches == (
         f"{name}: canonical form missing from report",)
     assert verify_against_tables(swapped, (row,)).mismatches == (
@@ -525,3 +528,34 @@ def test_filter_is_isometry_invariant_spot_check(full_report):
         for g in rng.sample(CUBE_GROUP, 8):
             img = apply_isometry(g, ds)
             assert (is_connected(img) and has_one_point_property(img)) == verdict
+
+
+def _exported_values() -> list:
+    """One value of each exported value type, computed afresh with every cache cleared."""
+    for mod in (core, faces, oracle, pipeline, topology):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    ds = parse_digitset("020_101_110_111_112_121_202")
+    form = canonical_form(ds)
+    face = classify_face(ds, (0, 0, 1))
+    graph = intersection_graph(ds)
+    report = classify_all(3, 3)
+    return [ds, face.point, form, form.witness, face, graph, bipartite_graph(ds), graph_code(graph),
+            report, report.classes[0], report.graph_types[0], verify_against_tables(report, ()),
+            voxelize(ds, 1)]
+
+
+def test_exported_values_are_immutable():
+    # README: the public operations work on immutable values
+    values, again = _exported_values(), _exported_values()
+    assert len({type(v) for v in values}) == 13
+    fields = {DigitSet: ("n", "digits", "code"), TriadicPoint: ("n", "preperiod", "period", "value")}
+    for value, twin in zip(values, again):
+        for name in fields.get(type(value)) or value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        assert value == twin and hash(value) == hash(twin)
+    codes = [GraphCode(7, 5), GraphCode(n_vertices=6, bits=9), GraphCode(7, 1), GraphCode(6, 12)]
+    assert sorted(codes) == sorted(codes, key=lambda c: (c.n_vertices, c.bits))
+    assert [c.hex for c in sorted(codes)] == ["6:9", "6:c", "7:1", "7:5"]
