@@ -24,7 +24,6 @@ from .faces import (
     TriadicPoint,
     build_automaton,
     classify_face,
-    face_point,
 )
 from .topology import (
     BipartiteGraph,
@@ -72,7 +71,6 @@ __all__ = [
     "TriadicPoint",
     "build_automaton",
     "classify_face",
-    "face_point",
     "BipartiteGraph",
     "GraphCode",
     "PieceGraph",

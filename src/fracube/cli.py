@@ -93,7 +93,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = pipeline.classify_all(n=3, N=7, workers=args.workers)
+    report = pipeline.classify_all(n=3, N=7)
     summary = pipeline.verify_against_tables(report)
     lines = [f"{summary.matched}/{summary.total} matched"]
     ok = summary.ok
@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("verify", help="check the pipeline against the bundled tables")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--skip-oracle", action="store_true",
                    help="skip the face-classification oracle sweep")
     p.add_argument("--out", default=None)

@@ -213,24 +213,13 @@ def transform_code(g_index: int, code: int, n: int) -> int:
     return _image(_cell_permutations(n)[g_index], code)
 
 
-class _CanonicalFields(NamedTuple):
+class CanonicalForm(NamedTuple):
+    """Orbit minimum of a digit set under the 48 cube symmetries."""
+
     canonical: DigitSet
     orbit_size: int
     stabilizer_size: int
     witness: Isometry
-
-
-class CanonicalForm(_CanonicalFields):
-    """Orbit minimum of a digit set under the 48 cube symmetries."""
-
-    __slots__ = ()
-
-    # typing.NamedTuple refuses a __new__ of its own, hence the subclass
-    def __new__(cls, *args, **kwargs):
-        form = super().__new__(cls, *args, **kwargs)
-        if form.orbit_size * form.stabilizer_size != len(CUBE_GROUP):
-            raise InternalInconsistency(f"orbit {form.orbit_size} x stabilizer {form.stabilizer_size} != 48")
-        return form
 
 
 # Codes are read in slices of this many bits, one lookup table per slice.
@@ -303,9 +292,7 @@ def canonical_form(ds: DigitSet) -> CanonicalForm:
     """Canonical representative, orbit size, stabilizer size and a witness."""
     images = _orbit_images(ds.code, ds.n)
     best = min(images)
-    return CanonicalForm(
-        canonical=DigitSet.from_code(best, n=ds.n),
-        orbit_size=len(set(images)),
-        stabilizer_size=images.count(ds.code),
-        witness=CUBE_GROUP[images.index(best)],
-    )
+    orbit, stabilizer = len(set(images)), images.count(ds.code)
+    if orbit * stabilizer != len(CUBE_GROUP):
+        raise InternalInconsistency(f"orbit {orbit} x stabilizer {stabilizer} != 48")
+    return CanonicalForm(DigitSet.from_code(best, n=ds.n), orbit, stabilizer, CUBE_GROUP[images.index(best)])

@@ -17,10 +17,6 @@ class OutOfRange(ParseError):
     """A digit coordinate falls outside {0, ..., n-1}."""
 
 
-class NotSingleton(FracubeError):
-    """Point extraction requested for a face that is not a singleton."""
-
-
 class OnePointViolation(FracubeError):
     """Operation requires the one-point intersection property."""
 

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .core import Digit, DigitSet, _cell_digits
-from .errors import NotSingleton, OutOfRange
+from .errors import OutOfRange
 
 Triple = tuple[int, int, int]
 
@@ -265,10 +265,3 @@ def classify_face(digitset: DigitSet, alpha: Triple) -> FaceClass:
         u, (w, a) = w, edges[w][0]
     return FaceClass(FaceKind.POINT, TriadicPoint(digitset.n, tuple(labels), tables.coords[a]))
 
-
-def face_point(digitset: DigitSet, alpha: Triple) -> TriadicPoint:
-    """The unique point of a singleton face F(alpha)."""
-    fc = classify_face(digitset, alpha)
-    if not fc.is_point:
-        raise NotSingleton(f"face {alpha} of {digitset} is {fc.kind.value}")
-    return fc.point

@@ -20,7 +20,6 @@ so the resulting report is byte-identical for any worker count.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -357,6 +356,8 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
 @lru_cache(maxsize=1)
 def bundled_labels() -> tuple[tuple[str, str], ...]:
     """The bundled (label, digit string) rows transcribed from the tables."""
+    import hashlib  # only here: importing it loads OpenSSL, which only this table check needs
+
     data = resources.files("fracube.data").joinpath("table_classes.txt").read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != TABLE_DATA_SHA256:

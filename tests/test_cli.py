@@ -208,7 +208,7 @@ def test_verify_reports_known_reference_mismatch(full_report, monkeypatch, capsy
     # reuse the session report instead of re-running the enumeration
     monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(workers=1, skip_oracle=True, out=str(target))
+    args = argparse.Namespace(skip_oracle=True, out=str(target))
     assert cli.cmd_verify(args) == 1
     text = target.read_text()
     assert "104/105 matched" in text
@@ -218,7 +218,7 @@ def test_verify_reports_known_reference_mismatch(full_report, monkeypatch, capsy
 def test_verify_oracle_sweep_counts(full_report, monkeypatch, tmp_path):
     monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(workers=1, skip_oracle=False, out=str(target))
+    args = argparse.Namespace(skip_oracle=False, out=str(target))
     assert cli.cmd_verify(args) == 1  # the one reference mismatch stays
     text = target.read_text()
     assert "2730/2730 face checks agreed" in text
@@ -237,7 +237,7 @@ def test_verify_reports_a_contradicted_certificate(full_report, monkeypatch, tmp
                         lambda report: cli.pipeline.VerificationSummary(total=105, matched=105, mismatches=()))
     monkeypatch.setattr(cli, "classify_face", lambda ds, alpha: types.SimpleNamespace(is_empty=is_empty))
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(workers=1, skip_oracle=False, out=str(target))
+    args = argparse.Namespace(skip_oracle=False, out=str(target))
     assert cli.cmd_verify(args) == 1
     lines = target.read_text().splitlines()
     assert f"1756/2730 faces certified empty, {contradicted} contradicted" in lines
@@ -252,7 +252,7 @@ def test_verify_reports_an_oracle_disagreement(full_report, monkeypatch, tmp_pat
     monkeypatch.setattr(cli.oracle, "faces_agree",
                         lambda ds, alpha: (ds, alpha) != (first, (1, 1, 1)) and agree(ds, alpha))
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(workers=1, skip_oracle=False, out=str(target))
+    args = argparse.Namespace(skip_oracle=False, out=str(target))
     assert cli.cmd_verify(args) == 1
     lines = target.read_text().splitlines()
     assert "2729/2730 face checks agreed" in lines

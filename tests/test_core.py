@@ -4,7 +4,6 @@ import pytest
 
 from fracube.core import (
     CUBE_GROUP,
-    CanonicalForm,
     Digit,
     DigitSet,
     _cell_permutations,
@@ -228,15 +227,19 @@ def test_offsets_map_to_offsets():
         assert sorted(g.apply_offset(v) for v in offsets) == sorted(offsets)
 
 
-def test_canonical_form_examples():
+def test_canonical_form_examples(monkeypatch):
     plus = canonical_form(parse_digitset(PLUS))
     assert plus.orbit_size == 1 and plus.stabilizer_size == 48
 
     corner = canonical_form(parse_digitset("000"))
     assert corner.canonical == parse_digitset("000")
     assert corner.orbit_size == 8
-    with pytest.raises(InternalInconsistency, match="orbit 8 x stabilizer 5 != 48"):
-        CanonicalForm(corner.canonical, 8, 5, corner.witness)
+    # an image list that breaks orbit x stabilizer = 48 must not become a canonical form
+    images = _orbit_images(1, 3)
+    images[-1] = images[0]
+    monkeypatch.setattr("fracube.core._orbit_images", lambda code, n: images)
+    with pytest.raises(InternalInconsistency, match=r"orbit \d+ x stabilizer \d+ != 48"):
+        canonical_form(parse_digitset("000"))
 
 
 def test_canonical_form_invariance_and_idempotence():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fracube.core import CUBE_GROUP, Digit, DigitSet, apply_isometry, cell_index, parse_digitset
-from fracube.errors import NotSingleton, OutOfRange
+from fracube.errors import OutOfRange
 from fracube.faces import (
     OFFSETS,
     FaceKind,
@@ -13,7 +13,6 @@ from fracube.faces import (
     _successors,
     build_automaton,
     classify_face,
-    face_point,
     offset_enc,
     tables_for_order,
 )
@@ -198,12 +197,10 @@ def test_table2_column_face_is_point():
 
 
 def test_face_point_requires_singleton():
-    seg = DigitSet.from_digits(SEGMENT)
-    with pytest.raises(NotSingleton):
-        face_point(seg, (1, 0, 0))
-    full = DigitSet.from_code((1 << 27) - 1)
-    with pytest.raises(NotSingleton):
-        face_point(full, (0, 0, 1))
+    seg = classify_face(DigitSet.from_digits(SEGMENT), (1, 0, 0))
+    assert seg.kind is FaceKind.EMPTY and seg.point is None
+    full = classify_face(DigitSet.from_code((1 << 27) - 1), (0, 0, 1))
+    assert full.kind is FaceKind.MULTI and full.point is None
 
 
 def test_point_lies_on_face_and_negation_symmetry():

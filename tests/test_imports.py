@@ -26,8 +26,9 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 # each costs every process milliseconds of set-up: only classify_all's worker pool
-# needs multiprocessing, only render_csv needs csv, and the package needs no dataclasses
-HEAVY_MODULES = ("multiprocessing", "dataclasses", "csv")
+# needs multiprocessing, only render_csv needs csv, only bundled_labels needs
+# hashlib, and the package needs no dataclasses
+HEAVY_MODULES = ("multiprocessing", "dataclasses", "csv", "hashlib")
 
 
 def test_cli_import_leaves_multiprocessing_out():
@@ -43,6 +44,13 @@ def test_no_unused_imports():
     assert len(modules) >= 8
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_all_names_exist_once():
+    # a name left in __all__ after its import is gone breaks only `from fracube import *`
+    fracube = importlib.import_module("fracube")
+    assert len(set(fracube.__all__)) == len(fracube.__all__)
+    assert [name for name in fracube.__all__ if not hasattr(fracube, name)] == []
 
 
 def _unused_parameters(path: Path) -> list[str]:

@@ -6,7 +6,7 @@ import pytest
 
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
 from fracube.errors import Disconnected, InternalInconsistency, OnePointViolation
-from fracube.faces import build_automaton, classify_face, face_point, offset_enc, tables_for_order
+from fracube.faces import build_automaton, classify_face, offset_enc, tables_for_order
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
 from fracube.pipeline import bundled_labels
 from fracube.topology import (
@@ -180,10 +180,11 @@ def test_bipartite_points_round_trip_to_face_points():
         graph = intersection_graph(ds)
         for i, j, _, _ in graph.edges:
             di, dj = ds.digits[i], ds.digits[j]
-            fp = face_point(ds, (dj[0] - di[0], dj[1] - di[1], dj[2] - di[2]))
-            p = tuple((fp.value[k] + di[k]) / ds.n for k in range(3))
+            fc = classify_face(ds, (dj[0] - di[0], dj[1] - di[1], dj[2] - di[2]))
+            assert fc.is_point
+            p = tuple((fc.point.value[k] + di[k]) / ds.n for k in range(3))
             assert p in values
-            assert tuple(p[k] * ds.n - di[k] for k in range(3)) == fp.value
+            assert tuple(p[k] * ds.n - di[k] for k in range(3)) == fc.point.value
 
 
 def test_point_multiplicity_matches_direct_count():
@@ -205,8 +206,9 @@ def test_point_multiplicity_matches_direct_count():
         graph = intersection_graph(ds)
         for i, j, _, _ in graph.edges:
             di, dj = ds.digits[i], ds.digits[j]
-            fp = face_point(ds, tuple(dj[k] - di[k] for k in range(3)))
-            value = tuple((fp.value[k] + di[k]) / ds.n for k in range(3))
+            fc = classify_face(ds, tuple(dj[k] - di[k] for k in range(3)))
+            assert fc.is_point
+            value = tuple((fc.point.value[k] + di[k]) / ds.n for k in range(3))
             direct.setdefault(value, set()).update((i, j))
         assert verify_no_triple_points(ds) == all(len(v) == 2 for v in direct.values())
         assert sorted(len(v) for v in direct.values()) == sorted(bg.point_degrees())
