@@ -12,7 +12,7 @@ import itertools
 import re
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateDigit, InternalInconsistency, OutOfRange, ParseError
 
@@ -228,7 +228,7 @@ _SLICE_MASK = (1 << _SLICE_BITS) - 1
 
 
 @lru_cache(maxsize=4)
-def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[int],
+def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]],
                                    list[list[tuple[int, int]]], int, int]:
     """Per-slice lookup tables of a code's images under the cube group.
 
@@ -241,13 +241,12 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[int],
     in field ``g``, which never leaves its field; the same holds for the
     entries of any set of slices, with ``g(part) - part`` of their cells.
 
-    Returns ``(levels, low, lows, ones, guards)``.  ``levels`` holds, from
-    the highest slice down to the second lowest, each slice's lowest cell
-    ``lo``, its table and its stable mask: the guard bits of the elements
-    that map the cells ``0..lo-1`` onto themselves (0 where there are
-    none).  ``low`` is the lowest slice's table, and ``lows[r]`` lists its
-    values with ``r`` cells in increasing order, each with its entry.
-    ``ones`` is the packed value with 1 in every field.
+    Returns ``(levels, lows, ones, guards)``.  ``levels`` holds, from the
+    highest slice down to slice 0, each slice's lowest cell ``lo``, its
+    table and its stable mask: the guard bits of the elements that map the
+    cells ``0..lo-1`` onto themselves (0 where there are none).  ``lows[r]``
+    lists the lowest slice's values with ``r`` cells in increasing order,
+    each with its entry.  ``ones`` is the packed value with 1 in every field.
     """
     ncells = n ** 3
     width = ncells + 1
@@ -263,17 +262,17 @@ def _orbit_tables(n: int) -> tuple[list[tuple[int, list[int], int]], list[int],
         stable = sum(1 << width * g + ncells for g, perm in enumerate(perms)
                      if max(perm[:lo], default=lo) < lo)
         levels.append((lo, table, stable))
-    (_, low, _), *levels = levels
+    low = levels[0][1]
     lows: list[list[tuple[int, int]]] = [[] for _ in range(len(low).bit_length())]
     for v, entry in enumerate(low):
         lows[v.bit_count()].append((v, entry))
-    return levels[::-1], low, lows, ones, ones << ncells
+    return levels[::-1], lows, ones, ones << ncells
 
 
 def _orbit_images(code: int, n: int) -> list[int]:
     """The images of a code under ``CUBE_GROUP``, in its order, from the slice tables."""
-    levels, low, _, _, guards = _orbit_tables(n)
-    packed = guards + low[code & _SLICE_MASK]
+    levels, _, _, guards = _orbit_tables(n)
+    packed = guards
     for lo, table, _ in levels:
         packed += table[code >> lo & _SLICE_MASK]
     width = n ** 3 + 1
@@ -281,6 +280,70 @@ def _orbit_images(code: int, n: int) -> list[int]:
     # field g holds 2**n**3 + g(code) - code
     base = code - (1 << width - 1)
     return [code] + [base + (packed >> width * g & mask) for g in range(len(CUBE_GROUP) - 1)]
+
+
+def _next_code(v: int) -> int:
+    """Next integer with the same popcount (Gosper's hack)."""
+    u = v & -v
+    w = v + u
+    return w | ((v ^ w) // u) >> 2
+
+
+def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
+    """The orbit-minimal codes from ``first`` to the end of its run.
+
+    Walks the codes with ``first``'s popcount and highest cell (its run)
+    in increasing order, the order of :func:`_next_code`, and yields
+    ``(code, orbit size)`` for each code that no element of ``CUBE_GROUP``
+    maps to a smaller code.  In the packed sum of :func:`_orbit_tables`,
+    field ``g`` keeps its guard bit iff ``g(code) >= code`` and holds the
+    guard alone iff ``g`` fixes the code.
+
+    The codes that share their bits at and above a slice boundary ``lo``
+    follow one another, and most of them are rejected together.  Write a
+    code as ``H + L`` with ``L < 2**lo``.  An element ``g`` that maps the
+    cells below ``lo`` onto themselves gives ``g(code) - code = (g(H) - H) +
+    (g(L) - L)``, where ``g(H) - H`` is a multiple of ``2**lo`` and
+    ``|g(L) - L| < 2**lo``.  So once the sum of the slices at and above
+    ``lo`` clears the guard of such a ``g``, ``g(H) < H`` and no code with
+    this ``H`` is minimal: the walk jumps past all of them.  In a high part
+    that survives, the lowest slice's values with the needed popcount come
+    from the ascending list ``lows``; when the highest cell lies in the
+    lowest slice, that list also holds codes before ``first`` and after
+    the run.
+    """
+    levels, lows, ones, guards = _orbit_tables(n)
+    levels = levels[:-1]
+    low_bits = len(lows) - 1
+    low_mask = (1 << low_bits) - 1
+    size = len(CUBE_GROUP)
+    limit = 1 << first.bit_length()
+    code = first
+    while code < limit:
+        upper = guards
+        for lo, table, stable in levels:
+            upper += table[code >> lo & _SLICE_MASK]
+            if upper & stable != stable:
+                break
+        else:
+            high = code & ~low_mask
+            for v, entry in lows[(code & low_mask).bit_count()]:
+                diff = upper + entry
+                if diff & guards != guards:
+                    continue
+                this = high | v
+                if this >= limit:
+                    return
+                if this < first:
+                    continue
+                # subtracting 1 clears the guard of exactly the fields that hold it alone
+                fixed = size - ((diff - ones) & guards).bit_count()
+                yield this, size // fixed
+            lo = low_bits
+        # advance past every code that shares the bits at and above lo
+        low = code & (1 << lo) - 1
+        r = low.bit_count()
+        code = _next_code(code ^ low | ((1 << r) - 1) << lo - r)
 
 
 def canonical_code(code: int, n: int) -> int:

@@ -5,17 +5,15 @@ order (Gosper order), in one chunk per highest occupied cell, and filters
 only the codes that are minimal in their orbit under the 48 cube symmetries
 (isomorph rejection, after Read 1978 and McKay 1998).  The filters are
 invariant under the cube group, so each orbit is decided once by its
-minimum.  A code's images under all 47 non-identity symmetries come at once
-from per-slice lookup tables, which also give the orbit size.  The walk
-tests the high slices first: when a symmetry that maps the cells below a
-slice boundary onto themselves already maps the code's high part to a
-smaller one, every code with that high part is skipped unseen.  The
-minimal codes are filtered by connectivity, decided by a flood over the
-code's own cell bits, and then by the one-point intersection property.
-Orbits whose digit sets are translates of each other inside the grid have
-translated attractors, so by default they are merged into one isometry
-class.  Workers own disjoint chunks and return mergeable partial results,
-so the resulting report is byte-identical for any worker count.
+minimum.  The minima and their orbit sizes come from the walk
+:func:`fracube.core._orbit_representatives` over the cube group's slice
+tables.  The minimal codes are filtered by connectivity, decided by a
+flood over the code's own cell bits, and then by the one-point
+intersection property.  Orbits whose digit sets are translates of each
+other inside the grid have translated attractors, so by default they are
+merged into one isometry class.  Workers own disjoint chunks and return
+mergeable partial results, so the resulting report is byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .core import (
-    CUBE_GROUP,
-    _SLICE_MASK,
     DigitSet,
     _check_order,
-    _orbit_tables,
+    _next_code,
+    _orbit_representatives,
     canonical_code,
     canonical_form,
     parse_digitset,
@@ -74,12 +71,6 @@ MAX_CANDIDATES = 10 ** 8
 
 TABLE_DATA_SHA256 = "285531e7b0e1a612b40b72ae86600c3fbd5640f7f8f2806154c2533bd83a6a94"
 
-def _next_code(v: int) -> int:
-    """Next integer with the same popcount (Gosper's hack)."""
-    u = v & -v
-    w = v + u
-    return w | ((v ^ w) // u) >> 2
-
 
 def enumerate_codes(n: int = 3, N: int = 7) -> Iterator[int]:
     """All occupancy codes with N set bits, ascending."""
@@ -101,62 +92,6 @@ def enumerate_all(n: int = 3, N: int = 7) -> Iterator[DigitSet]:
     _check_size(n, N)
     for code in enumerate_codes(n, N):
         yield DigitSet.from_code(code, n)
-
-
-def _orbit_representatives(n: int, first: int) -> Iterator[tuple[int, int]]:
-    """The orbit-minimal codes from ``first`` to the end of its run.
-
-    Walks the codes with ``first``'s popcount and highest cell (its run)
-    in increasing order, the order of :func:`_next_code`, and yields
-    ``(code, orbit size)`` for each code that no element of ``CUBE_GROUP``
-    maps to a smaller code.  In the packed sum described in
-    :func:`fracube.core._orbit_tables`, field ``g`` keeps its guard bit iff
-    ``g(code) >= code`` and holds the guard alone iff ``g`` fixes the code.
-
-    The codes that share their bits at and above a slice boundary ``lo``
-    follow one another, and most of them are rejected together.  Write a
-    code as ``H + L`` with ``L < 2**lo``.  An element ``g`` that maps the
-    cells below ``lo`` onto themselves gives ``g(code) - code = (g(H) - H) +
-    (g(L) - L)``, where ``g(H) - H`` is a multiple of ``2**lo`` and
-    ``|g(L) - L| < 2**lo``.  So once the sum of the slices at and above
-    ``lo`` clears the guard of such a ``g``, ``g(H) < H`` and no code with
-    this ``H`` is minimal: the walk jumps past all of them.  In a high part
-    that survives, the lowest slice's values with the needed popcount come
-    from the ascending list ``lows``; when the highest cell lies in the
-    lowest slice, that list also holds codes before ``first`` and after
-    the run.
-    """
-    levels, _, lows, ones, guards = _orbit_tables(n)
-    low_bits = len(lows) - 1
-    low_mask = (1 << low_bits) - 1
-    size = len(CUBE_GROUP)
-    limit = 1 << first.bit_length()
-    code = first
-    while code < limit:
-        upper = guards
-        for lo, table, stable in levels:
-            upper += table[code >> lo & _SLICE_MASK]
-            if upper & stable != stable:
-                break
-        else:
-            high = code & ~low_mask
-            for v, entry in lows[(code & low_mask).bit_count()]:
-                diff = upper + entry
-                if diff & guards != guards:
-                    continue
-                this = high | v
-                if this >= limit:
-                    return
-                if this < first:
-                    continue
-                # subtracting 1 clears the guard of exactly the fields that hold it alone
-                fixed = size - ((diff - ones) & guards).bit_count()
-                yield this, size // fixed
-            lo = low_bits
-        # advance past every code that shares the bits at and above lo
-        low = code & (1 << lo) - 1
-        r = low.bit_count()
-        code = _next_code(code ^ low | ((1 << r) - 1) << lo - r)
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
@@ -288,8 +223,6 @@ def classify_all(n: int = 3, N: int = 7, workers: int = 1,
     else:
         import multiprocessing  # only here: importing it costs every process a few ms
 
-        tables_for_order(n)  # build shared tables before forking
-        _orbit_tables(n)
         with multiprocessing.Pool(processes=workers) as pool:
             results = pool.map(_scan_chunk, chunks)
 

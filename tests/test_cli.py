@@ -208,7 +208,7 @@ def test_verify_reports_known_reference_mismatch(full_report, monkeypatch, capsy
     # reuse the session report instead of re-running the enumeration
     monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(skip_oracle=True, out=str(target))
+    args = argparse.Namespace(out=str(target))
     assert cli.cmd_verify(args) == 1
     text = target.read_text()
     assert "104/105 matched" in text
@@ -218,7 +218,7 @@ def test_verify_reports_known_reference_mismatch(full_report, monkeypatch, capsy
 def test_verify_oracle_sweep_counts(full_report, monkeypatch, tmp_path):
     monkeypatch.setattr(cli.pipeline, "classify_all", lambda **kw: full_report)
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(skip_oracle=False, out=str(target))
+    args = argparse.Namespace(out=str(target))
     assert cli.cmd_verify(args) == 1  # the one reference mismatch stays
     text = target.read_text()
     assert "2730/2730 face checks agreed" in text
@@ -237,7 +237,7 @@ def test_verify_reports_a_contradicted_certificate(full_report, monkeypatch, tmp
                         lambda report: cli.pipeline.VerificationSummary(total=105, matched=105, mismatches=()))
     monkeypatch.setattr(cli, "classify_face", lambda ds, alpha: types.SimpleNamespace(is_empty=is_empty))
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(skip_oracle=False, out=str(target))
+    args = argparse.Namespace(out=str(target))
     assert cli.cmd_verify(args) == 1
     lines = target.read_text().splitlines()
     assert f"1756/2730 faces certified empty, {contradicted} contradicted" in lines
@@ -252,12 +252,55 @@ def test_verify_reports_an_oracle_disagreement(full_report, monkeypatch, tmp_pat
     monkeypatch.setattr(cli.oracle, "faces_agree",
                         lambda ds, alpha: (ds, alpha) != (first, (1, 1, 1)) and agree(ds, alpha))
     target = tmp_path / "verify.txt"
-    args = argparse.Namespace(skip_oracle=False, out=str(target))
+    args = argparse.Namespace(out=str(target))
     assert cli.cmd_verify(args) == 1
     lines = target.read_text().splitlines()
     assert "2729/2730 face checks agreed" in lines
     assert [line for line in lines if line.startswith("oracle disagreement: ")] == [
         f"oracle disagreement: {label} {text} at (1, 1, 1)"]
+
+
+# sha256 of stdout and the exit code of each command
+PINNED_OUTPUTS = (
+    (["enumerate"], "4a3f59339733c9d4fc406e7a7d9d159b3017cd25b54c123603e1a8d30957ed1b", 0),
+    (["enumerate", "--workers", "2"], "4a3f59339733c9d4fc406e7a7d9d159b3017cd25b54c123603e1a8d30957ed1b", 0),
+    (["enumerate", "--classes", "isometry"],
+     "42f62d25877fd75e10603febe8e077232f07d14e84c8097e1e2c231fb66f83b5", 0),
+    (["enumerate", "--format", "csv"], "5cea302a00a8bd53757d3037fe2bd355b7ea2900ab3d20bf53b081fdae1048d1", 0),
+    (["enumerate", "--classes", "isometry", "--format", "md"],
+     "4c9fa9fc4f6a3d8d1cf429dc6cecdafae0dc63ccc2299633908ea4f050215ed4", 0),
+    (["enumerate", "--pieces", "5", "--workers", "1"],
+     "517ebb1bff694cdc45dc76ee82ff8c3b09a9817e3d8b43cb5ccc7be6f184fea9", 0),
+    (["verify"], "2d5033123d5d85bf58ba5f14c502cf231cb258dafdb7862423556d155dede8b3", 1),
+    (["inspect", "020_101_110_111_112_121_202"],
+     "4d4871a8cc90bd3dfb6ba8b537401b74a41475610080bb56cb1ffccd72264a3d", 0),
+    (["inspect", "000_001_010_020_111_221_222", "--format", "md"],
+     "66ec119b346c7e415d56d5dc900ce20c042584f0cccea68653fe165c753cff53", 0),
+    (["export", "020_101_110_111_112_121_202", "--depth", "3"],
+     "008b8f9d01aaadff0e4dfcef78d443ec19988f6a1323cbf29b55d0c86877eb29", 0),
+)
+
+
+def test_command_outputs_are_pinned(monkeypatch, capsys):
+    # each (3, 7) command hashes a scan with its own worker count and class mode,
+    # made once and shared by the commands that ask for the same one
+    scan = cli.pipeline.classify_all
+    reports = {}
+
+    def classify_all(n, N, workers=1, translations=True):
+        if (n, N) != (3, 7):
+            return scan(n, N, workers, translations)
+        if (workers, translations) not in reports:
+            reports[workers, translations] = scan(n, N, workers, translations)
+        return reports[workers, translations]
+
+    monkeypatch.setattr(cli.pipeline, "classify_all", classify_all)
+    digests = {}
+    for argv, _, _ in PINNED_OUTPUTS:
+        code = cli.main(argv)
+        digests[" ".join(argv)] = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(), code)
+    assert digests == {" ".join(argv): (digest, code) for argv, digest, code in PINNED_OUTPUTS}
+    assert sorted(reports) == [(1, False), (1, True), (2, False)]
 
 
 def test_readme_synopsis_matches_the_parser():

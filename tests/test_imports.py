@@ -153,6 +153,28 @@ def test_oracle_reads_no_kernel_tables():
     assert {fn for fn, names in reads.items() if names & {"classify_face", "FaceKind"}} == {"faces_agree"}
 
 
+# the cube group's packed slice tables are core's format: its orbit walk and
+# its images read them, and every other module asks core for orbits
+PACKED_ORBIT_FORMAT = {"_orbit_tables", "_SLICE_MASK", "_SLICE_BITS"}
+
+
+def test_only_core_reads_the_packed_orbit_tables():
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if names & PACKED_ORBIT_FORMAT:
+            readers[path.name] = names & PACKED_ORBIT_FORMAT
+    assert sorted(readers) == ["core.py"]
+    assert readers["core.py"] == PACKED_ORBIT_FORMAT
+
+
 def _raised_names(tree: ast.Module) -> set[str]:
     """Names of the exceptions a module's ``raise`` statements construct or re-raise."""
     names = set()

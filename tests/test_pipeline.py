@@ -256,7 +256,7 @@ def _near_run_end(rng, h: int, k: int, most: int) -> int:
 
 def _run_from(code: int, most: int) -> list[int] | None:
     """The codes from ``code`` to the end of its run in the scan's order, or None if more than ``most``."""
-    from fracube.pipeline import _next_code
+    from fracube.core import _next_code
     limit = 1 << code.bit_length()
     codes: list[int] = []
     while code < limit:
@@ -319,7 +319,7 @@ def test_scan_agrees_with_public_filters():
 
 def test_orbit_representatives_partition_codes():
     # the scan's minimality test against the 48 images of every code
-    from fracube.pipeline import _orbit_representatives
+    from fracube.core import _orbit_representatives
     sizes = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 5)] + [(4, 1), (4, 2), (5, 1), (5, 2)]
     for n, N in sizes:
         total = comb(n ** 3, N)
@@ -336,7 +336,7 @@ def test_scan_flood_funnel_at_3_7():
     # README's (3, 7) funnel: the orbit minima of every run, those whose cells
     # are linked through whole near masks, and those linked through live offsets
     from fracube.faces import _scc_live, _successors, tables_for_order
-    from fracube.pipeline import _orbit_representatives
+    from fracube.core import _orbit_representatives
     from fracube.topology import _component, _spans
     tables = tables_for_order(3)
     reps: dict[int, int] = {}
@@ -350,15 +350,12 @@ def test_scan_flood_funnel_at_3_7():
 
 def _reference_orbit_representatives(n: int, first: int):
     """The per-code walk: one Gosper step and one packed sum for every code of the run."""
-    from fracube.core import CUBE_GROUP
-    from fracube.core import _SLICE_MASK, _orbit_tables
-    from fracube.pipeline import _next_code
-    levels, low, _, ones, guards = _orbit_tables(n)
+    from fracube.core import CUBE_GROUP, _SLICE_MASK, _next_code, _orbit_tables
+    levels, _, ones, guards = _orbit_tables(n)
     size = len(CUBE_GROUP)
     code = first
     while code < 1 << first.bit_length():
-        diff = guards + low[code & _SLICE_MASK]
-        diff += sum(table[code >> lo & _SLICE_MASK] for lo, table, _ in levels)
+        diff = guards + sum(table[code >> lo & _SLICE_MASK] for lo, table, _ in levels)
         if diff & guards == guards:
             yield code, size // (size - ((diff - ones) & guards).bit_count())
         code = _next_code(code)
@@ -367,9 +364,9 @@ def _reference_orbit_representatives(n: int, first: int):
 def _rejected_level(n: int, code: int) -> int:
     """The highest slice boundary whose high part the pruned walk rejects, or 0."""
     from fracube.core import _SLICE_MASK, _orbit_tables
-    levels, _, _, _, guards = _orbit_tables(n)
+    levels, _, _, guards = _orbit_tables(n)
     upper = guards
-    for lo, table, stable in levels:
+    for lo, table, stable in levels[:-1]:
         upper += table[code >> lo & _SLICE_MASK]
         if upper & stable != stable:
             return lo
@@ -379,7 +376,7 @@ def _rejected_level(n: int, code: int) -> int:
 def test_pruned_walk_matches_the_per_code_walk():
     # same (code, orbit size) pairs in the same order as the walk that tests every code
     import random
-    from fracube.pipeline import _orbit_representatives
+    from fracube.core import _orbit_representatives
 
     def same(n, first):
         got = list(_orbit_representatives(n, first))
