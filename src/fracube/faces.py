@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -59,6 +60,15 @@ class _Tables:
     (u_enc, 1 << w_enc) per edge u -> w labelled (digit(a), digit(b)), that
     is, per offset u with w = n*u + digit(b) - digit(a) an offset.  For
     n >= 3 a difference of two digits realizes at most one edge.
+
+    sides[k][v] ORs the side masks of the cells 9k + i for the set bits i of
+    v.  The side of an offset u holds the digits d with d_k = 0 where
+    u_k = 1 and d_k = n - 1 where u_k = -1.  An edge u -> n*u + d' - d
+    needs d on the side of -u and d' on the side of u, since on an axis with
+    u_k = 1 the sum n + d'_k - d_k is in {-1,0,1} only when d'_k = 0 and
+    d_k = n - 1 (Bandt and Mesing's support fact).  A cell's side mask has
+    bit u when the cell is on the side of u, and bit 27 + 26 - u the same,
+    so :func:`_edge_bound` reads both sides of every offset from one OR.
     """
 
     def __init__(self, n: int):
@@ -83,6 +93,23 @@ class _Tables:
         self.near = [sum(1 << b for b in range(ncells) if pair_off[a * ncells + b] != 255)
                      for a in range(ncells)]
 
+        # a coordinate 0 pins the offsets to 0 or 1 on its axis, n - 1 to 0 or -1
+        pins = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in range(n)]
+        cell_sides = []
+        for coord in self.coords:
+            side = 0
+            for x, y, z in product(*(pins[c] for c in coord)):
+                e = x + 3 * y + 9 * z + ZERO_ENC
+                if e != ZERO_ENC:
+                    side |= 1 << e | 1 << 53 - e
+            cell_sides.append(side)
+        self.sides = sides = []
+        for lo in range(0, ncells, 9):
+            table = [0]
+            for side in cell_sides[lo:lo + 9]:
+                table += [entry | side for entry in table]
+            sides.append(table)
+
 
 @lru_cache(maxsize=8)
 def tables_for_order(n: int) -> _Tables:
@@ -100,6 +127,19 @@ def _successors(cells, tables: _Tables) -> list[int]:
             for u, bit in pair_edges[row + b]:
                 succ[u] |= bit
     return succ
+
+
+def _edge_bound(code: int, tables: _Tables) -> int:
+    """Bitmask of the offsets whose side and whose negation's side hold a digit.
+
+    Every offset with an edge is in it (see :class:`_Tables`), so it holds
+    the live mask, and it is closed under negation.
+    """
+    m = 0
+    for table in tables.sides:
+        m |= table[code & 511]
+        code >>= 9
+    return m & m >> 27 & 0x7FFFFFF
 
 
 def _scc_live(succ: list[int]) -> int:

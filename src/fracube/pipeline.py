@@ -7,13 +7,14 @@ only the codes that are minimal in their orbit under the 48 cube symmetries
 invariant under the cube group, so each orbit is decided once by its
 minimum.  The minima and their orbit sizes come from the walk
 :func:`fracube.core._orbit_representatives` over the cube group's slice
-tables.  The minimal codes are filtered by connectivity, decided by a
-flood over the code's own cell bits, and then by the one-point
-intersection property.  Orbits whose digit sets are translates of each
-other inside the grid have translated attractors, so by default they are
-merged into one isometry class.  Workers own disjoint chunks and return
-mergeable partial results, so the resulting report is byte-identical for
-any worker count.
+tables.  The minimal codes are filtered by connectivity, decided by
+floods over the code's own cell bits (first through the offsets with
+digits on both of their sides, then through the live offsets), and then
+by the one-point intersection property.  Orbits whose digit sets are
+translates of each other inside the grid have translated attractors, so
+by default they are merged into one isometry class.  Workers own
+disjoint chunks and return mergeable partial results, so the resulting
+report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import (
     UnknownCode,
 )
 from .faces import (
+    _edge_bound,
     _escape_reachable,
     _live_edges,
     _scc_live,
@@ -55,7 +57,6 @@ from .faces import (
 from .topology import (
     GraphCode,
     _bipartite,
-    _component,
     _dendrite,
     _piece_pairs,
     _spans,
@@ -101,23 +102,25 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     minima, with the caller's ``count`` of the codes it covers; each code's
     own cells are its pieces.  Potential adjacency first, then automaton
     liveness for exact connectivity, then the product search for the
-    one-point property.  Both connectivity tests flood the code's cell bits:
-    :func:`fracube.topology._component` through whole ``near`` masks, then
-    :func:`fracube.topology._spans` through the live offsets; the piece-pair
-    list is built only for the codes that pass, to name the realized live
-    offsets the product search reads.  Liveness and the product search are
-    the kernel behind :func:`fracube.faces.classify_face`.  All three tests
-    are invariant under the cube group, so a minimum's verdict holds for its
-    whole orbit.
+    one-point property.  Both connectivity tests are
+    :func:`fracube.topology._spans` floods over the code's cell bits: first
+    through :func:`fracube.faces._edge_bound`, the offsets with digits on
+    both of their sides, a superset of the live mask read from the code by
+    one table lookup per 9 cells; then through the live offsets, so the
+    kernel runs only on the codes that pass the first flood.  The piece-pair
+    list is built only for the codes that pass both, to name the realized
+    live offsets the product search reads.  Liveness and the product search
+    are the kernel behind :func:`fracube.faces.classify_face`.  All three
+    tests are invariant under the cube group, so a minimum's verdict holds
+    for its whole orbit.
     """
     n, _, first, count = args
     tables = tables_for_order(n)
-    near, scc_live = tables.near, _scc_live
 
     survivors: dict[int, int] = {}
     for this, orbit_size in _orbit_representatives(n, first):
-        # potential adjacency: digit differences inside {-1,0,1}^3
-        if _component(near, this & -this, this) != this:
+        # potential adjacency: step only through offsets with digits on both sides
+        if not _spans(this, _edge_bound(this, tables), tables):
             continue
 
         cells = []
@@ -128,7 +131,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
             rest ^= low
 
         # exact connectivity: step only through offsets whose face is nonempty
-        live = scc_live(_successors(cells, tables))
+        live = _scc_live(_successors(cells, tables))
         if not _spans(this, live, tables):
             continue
 

@@ -48,14 +48,15 @@ def _connected(n_vertices: int, edges) -> bool:
     return _component(adj, 1, (1 << n_vertices) - 1).bit_count() == n_vertices
 
 
-def _spans(code: int, live: int, tables) -> bool:
-    """Whether the pieces of occupancy ``code`` are connected through ``live`` offsets.
+def _spans(code: int, offsets: int, tables) -> bool:
+    """Whether the pieces of occupancy ``code`` are connected through the ``offsets`` mask.
 
     Floods from the lowest cell of ``code`` through its cells, stepping
-    ``a -> b`` when ``b`` is in ``near[a]`` and ``live`` has the bit of the
-    offset ``digit(a) - digit(b)``.  The steps are symmetric because
-    ``F(-v) = F(v) - v``: a live mask is closed under negation.  Tests hold
-    it to ``PieceGraph.is_connected_graph``.
+    ``a -> b`` when ``b`` is in ``near[a]`` and ``offsets`` has the bit of
+    the offset ``digit(a) - digit(b)``.  Any mask closed under negation
+    makes the steps symmetric: a live mask is, because ``F(-v) = F(v) - v``,
+    and so is :func:`fracube.faces._edge_bound`.  Tests hold the flood
+    through the live mask to ``PieceGraph.is_connected_graph``.
     """
     near, pair_off, ncells = tables.near, tables.pair_off, tables.ncells
     reached = frontier = code & -code
@@ -68,7 +69,7 @@ def _spans(code: int, live: int, tables) -> bool:
         while rest:
             b = rest & -rest
             rest ^= b
-            if live >> pair_off[row + b.bit_length() - 1] & 1:
+            if offsets >> pair_off[row + b.bit_length() - 1] & 1:
                 reached |= b
                 frontier |= b
     return reached == code

@@ -10,13 +10,15 @@ from fracube.faces import (
     OFFSETS,
     FaceKind,
     TriadicPoint,
+    _edge_bound,
+    _scc_live,
     _successors,
     build_automaton,
     classify_face,
     offset_enc,
     tables_for_order,
 )
-from fracube.oracle import _label_edges
+from fracube.oracle import _boundary_slabs, _label_edges
 from fracube.pipeline import enumerate_codes
 
 SEGMENT = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
@@ -324,10 +326,32 @@ def test_point_extraction_is_path_independent():
             assert other.value == fc.point.value
 
 
+def test_edge_bound_is_sound():
+    # the scan's prefilter mask holds every offset with an edge, so every live
+    # one; it equals the offsets with side digits on both ends by the oracle's
+    # own side table, and at n = 2 every such pair of sides gives an edge
+    rng = random.Random(79)
+    sets = _kernel_sets() + [random_digitset(rng, n, rng.randrange(1, n ** 3 + 1))
+                             for n in (2, 3, 4, 5) for _ in range(60)]
+    sets += [boundary_digitset(rng, 5) for _ in range(40)]
+    for ds in sets:
+        tables = tables_for_order(ds.n)
+        bound = _edge_bound(ds.code, tables)
+        succ = _successors(ds.cells(), tables)
+        moving = sum(1 << u for u in range(27) if succ[u])
+        live = _scc_live(succ)
+        assert bound & moving == moving and bound & live == live
+        if ds.n == 2:
+            assert bound == moving
+        assert all(bound >> u & 1 == bound >> 26 - u & 1 for u in range(27))
+        sides = _boundary_slabs(ds)
+        assert bound == sum(1 << offset_enc(v) for v in OFFSETS
+                            if sides[v] and sides[tuple(-c for c in v)])
+
+
 def test_scc_liveness_matches_path_fixpoint():
     # brute force: an offset is live iff a 26-step path leaves it, on the
     # automata of the kernel sets and of random sets of order 5
-    from fracube.faces import _scc_live
     rng = random.Random(61)
     sets = _kernel_sets() + [random_digitset(rng, 5, rng.randrange(1, 126)) for _ in range(40)]
     for ds in sets:

@@ -334,18 +334,36 @@ def test_orbit_representatives_partition_codes():
 
 def test_scan_flood_funnel_at_3_7():
     # README's (3, 7) funnel: the orbit minima of every run, those whose cells
-    # are linked through whole near masks, and those linked through live offsets
-    from fracube.faces import _scc_live, _successors, tables_for_order
+    # are linked through whole near masks, those linked through offsets with
+    # digits on both sides (the scan's prefilter) and those linked through
+    # live offsets; each stage keeps a subset of the one before
+    from fracube.faces import _edge_bound, _scc_live, _successors, tables_for_order
     from fracube.core import _orbit_representatives
     from fracube.topology import _component, _spans
     tables = tables_for_order(3)
     reps: dict[int, int] = {}
     for h in range(6, 27):
         reps.update(_orbit_representatives(3, 0b111111 | 1 << h))
-    near = [c for c in reps if _component(tables.near, c & -c, c) == c]
-    live = [c for c in near if _spans(c, _scc_live(_successors(DigitSet.from_code(c).cells(), tables)), tables)]
-    assert (len(reps), len(near), len(live)) == (19587, 13207, 132)
+    near = {c for c in reps if _component(tables.near, c & -c, c) == c}
+    bound = {c for c in reps if _spans(c, _edge_bound(c, tables), tables)}
+    live = {c for c in reps if _spans(c, _scc_live(_successors(DigitSet.from_code(c).cells(), tables)), tables)}
+    assert live <= bound <= near
+    assert (len(reps), len(near), len(bound), len(live)) == (19587, 13207, 1912, 132)
     assert sum(reps.values()) == comb(27, 7) == 888030
+
+
+def test_scan_runs_liveness_on_the_bound_passers(monkeypatch):
+    # the scan's work count at (3, 5): liveness runs only on the 64 of 1956
+    # orbit minima that pass the side-occupancy flood
+    calls = []
+    kernel = pipeline._scc_live
+
+    def counted(succ):
+        calls.append(succ)
+        return kernel(succ)
+    monkeypatch.setattr(pipeline, "_scc_live", counted)
+    assert classify_all(3, 5).survivors == 378
+    assert len(calls) == 64
 
 
 def _reference_orbit_representatives(n: int, first: int):

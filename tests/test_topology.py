@@ -6,7 +6,7 @@ import pytest
 
 from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
 from fracube.errors import Disconnected, InternalInconsistency, OnePointViolation
-from fracube.faces import build_automaton, classify_face, offset_enc, tables_for_order
+from fracube.faces import _edge_bound, build_automaton, classify_face, offset_enc, tables_for_order
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
 from fracube.pipeline import bundled_labels
 from fracube.topology import (
@@ -69,9 +69,10 @@ def test_piece_pairs_match_digit_differences():
 
 
 def test_spans_matches_the_pair_list_route():
-    # the scan's cell floods against the pair-list routes: _component over
-    # whole near masks against _connected over _piece_pairs, and _spans with
-    # the live mask against the classified piece graph
+    # the cell floods against the pair-list routes: _component over whole
+    # near masks against _connected over _piece_pairs, and _spans with the
+    # live mask against the classified piece graph; the scan's prefilter,
+    # _spans with the edge bound, lies between them
     rng = random.Random(1931)
     seen = set()
     for n in range(2, 6):
@@ -96,6 +97,7 @@ def test_spans_matches_the_pair_list_route():
             assert potential == _connected(len(cells), _piece_pairs(cells, tables)), ds
             exact = _spans(code, build_automaton(ds)[0], tables)
             assert exact == piece_adjacency(ds).is_connected_graph(), ds
+            assert exact <= _spans(code, _edge_bound(code, tables), tables) <= potential, ds
             seen.add((n, potential, exact))
     # at order 2 any two cells are near and every digit set is connected; the
     # other orders have sets apart, sets near but not touching, and connected sets
