@@ -3,7 +3,8 @@
 The default pipeline enumerates all 7-piece digit sets of order 3, filters
 for connectivity and the one-point intersection property, reduces by the 48
 cube symmetries, and groups the surviving classes by the isomorphism type of
-their intersection graph (equivalently, by bi-Lipschitz class).
+their intersection graph, which the paper takes for the bi-Lipschitz class at
+(3, 7); at 9 pieces one type holds both a dendrite and a non-dendrite.
 """
 
 from .core import (

@@ -101,9 +101,6 @@ class DigitSet:
     def __len__(self) -> int:
         return len(self._digits)
 
-    def __iter__(self):
-        return iter(self._digits)
-
     def cells(self) -> tuple[int, ...]:
         return tuple(cell_index(d, self._n) for d in self._digits)
 

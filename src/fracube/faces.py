@@ -89,9 +89,11 @@ class _Tables:
 
         # pair_off[a * ncells + b] = code of digit(a) - digit(b), 255 = equal or far apart
         self.pair_off = pair_off = bytes(offsets.get(pa - pb, 255) for pa in packed for pb in packed)
-        # near[a]: bitmask of the cells b with pair_off[a * ncells + b] != 255
-        self.near = [sum(1 << b for b in range(ncells) if pair_off[a * ncells + b] != 255)
-                     for a in range(ncells)]
+        # offset_pairs[u]: the cell pairs (a, 1 << b) with pair_off[a * ncells + b] == u
+        self.offset_pairs = offset_pairs = [[] for _ in range(27)]
+        for i, u in enumerate(pair_off):
+            if u != 255:
+                offset_pairs[u].append((i // ncells, 1 << i % ncells))
 
         # a coordinate 0 pins the offsets to 0 or 1 on its axis, n - 1 to 0 or -1
         pins = [(0, 1) if c == 0 else (0, -1) if c == n - 1 else (0,) for c in range(n)]

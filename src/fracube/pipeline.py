@@ -7,14 +7,14 @@ only the codes that are minimal in their orbit under the 48 cube symmetries
 invariant under the cube group, so each orbit is decided once by its
 minimum.  The minima and their orbit sizes come from the walk
 :func:`fracube.core._orbit_representatives` over the cube group's slice
-tables.  The minimal codes are filtered by connectivity, decided by
-floods over the code's own cell bits (first through the offsets with
-digits on both of their sides, then through the live offsets), and then
-by the one-point intersection property.  Orbits whose digit sets are
-translates of each other inside the grid have translated attractors, so
-by default they are merged into one isometry class.  Workers own
-disjoint chunks and return mergeable partial results, so the resulting
-report is byte-identical for any worker count.
+tables.  The minimal codes are filtered by connectivity, two floods
+:func:`fracube.topology._component` over the code's own cells with the rows
+of an offset mask (first the offsets with digits on both of their sides,
+then the live offsets), and then by the one-point intersection property.
+Orbits whose digit sets are translates of each other inside the grid have
+translated attractors, so by default they are merged into one isometry
+class.  Workers own disjoint chunks and return mergeable partial results, so
+the resulting report is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[dict[int, int], int]:
     minima, with the caller's ``count`` of the codes it covers; each code's
     own cells are its pieces.  Potential adjacency first, then automaton
     liveness for exact connectivity, then the product search for the
-    one-point property.  Both connectivity tests are
-    :func:`fracube.topology._spans` floods over the code's cell bits: first
-    through :func:`fracube.faces._edge_bound`, the offsets with digits on
-    both of their sides, a superset of the live mask read from the code by
-    one table lookup per 9 cells; then through the live offsets, so the
+    one-point property.  Both connectivity tests are :func:`_spans`, the
+    flood :func:`fracube.topology._component` over the code's cells with the
+    rows of an offset mask: first :func:`fracube.faces._edge_bound`, the
+    offsets with digits on both of their sides, a superset of the live mask
+    read by one table lookup per 9 cells; then the live offsets, so the
     kernel runs only on the codes that pass the first flood.  The piece-pair
     list is built only for the codes that pass both, to name the realized
     live offsets the product search reads.  Liveness and the product search

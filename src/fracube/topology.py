@@ -8,6 +8,7 @@ reduces to the face classification plus exact rational arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import DigitSet
@@ -48,31 +49,29 @@ def _connected(n_vertices: int, edges) -> bool:
     return _component(adj, 1, (1 << n_vertices) - 1).bit_count() == n_vertices
 
 
+# one entry per order and offset mask: a whole (3, 11) scan meets 507 masks
+@lru_cache(maxsize=1024)
+def _offset_rows(n: int, offsets: int) -> tuple[int, ...]:
+    """rows[a]: bitmask of the cells b whose offset ``digit(a) - digit(b)`` is in ``offsets``."""
+    tables = tables_for_order(n)
+    rows = [0] * tables.ncells
+    for u, pairs in enumerate(tables.offset_pairs):
+        if offsets >> u & 1:
+            for a, bit in pairs:
+                rows[a] |= bit
+    return tuple(rows)
+
+
 def _spans(code: int, offsets: int, tables) -> bool:
     """Whether the pieces of occupancy ``code`` are connected through the ``offsets`` mask.
 
-    Floods from the lowest cell of ``code`` through its cells, stepping
-    ``a -> b`` when ``b`` is in ``near[a]`` and ``offsets`` has the bit of
-    the offset ``digit(a) - digit(b)``.  Any mask closed under negation
-    makes the steps symmetric: a live mask is, because ``F(-v) = F(v) - v``,
-    and so is :func:`fracube.faces._edge_bound`.  Tests hold the flood
-    through the live mask to ``PieceGraph.is_connected_graph``.
+    The flood :func:`_component` from the lowest cell of ``code`` over the
+    rows of ``offsets``.  Any mask closed under negation makes the rows
+    symmetric: a live mask is, because ``F(-v) = F(v) - v``, and so is
+    :func:`fracube.faces._edge_bound`.  Tests hold the flood through the
+    live mask to ``PieceGraph.is_connected_graph``.
     """
-    near, pair_off, ncells = tables.near, tables.pair_off, tables.ncells
-    reached = frontier = code & -code
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        a = low.bit_length() - 1
-        row = a * ncells
-        rest = near[a] & code & ~reached
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if offsets >> pair_off[row + b.bit_length() - 1] & 1:
-                reached |= b
-                frontier |= b
-    return reached == code
+    return _component(_offset_rows(tables.n, offsets), code & -code, code) == code
 
 
 class PieceGraph(NamedTuple):
@@ -116,7 +115,7 @@ def is_connected(ds: DigitSet) -> bool:
     """Hata criterion: the attractor is connected iff the piece graph is.
 
     Pieces i and j meet iff d_i - d_j is live (has a nonempty face), so this
-    is the cell flood :func:`_spans` through ``build_automaton``'s live mask.
+    is :func:`_spans`, the flood :func:`_component` over the live mask's rows.
     """
     return _spans(ds.code, build_automaton(ds)[0], tables_for_order(ds.n))
 

@@ -113,7 +113,7 @@ def test_no_dead_order_tables():
                 and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
     read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) == "tables"}
-    assert {"pair_edges", "pair_off", "near"} <= assigned
+    assert {"pair_edges", "pair_off", "offset_pairs"} <= assigned
     assert sorted(assigned - read) == []
 
 

@@ -334,17 +334,17 @@ def test_orbit_representatives_partition_codes():
 
 def test_scan_flood_funnel_at_3_7():
     # README's (3, 7) funnel: the orbit minima of every run, those whose cells
-    # are linked through whole near masks, those linked through offsets with
+    # are linked through all 26 offsets, those linked through offsets with
     # digits on both sides (the scan's prefilter) and those linked through
     # live offsets; each stage keeps a subset of the one before
     from fracube.faces import _edge_bound, _scc_live, _successors, tables_for_order
     from fracube.core import _orbit_representatives
-    from fracube.topology import _component, _spans
+    from fracube.topology import _spans
     tables = tables_for_order(3)
     reps: dict[int, int] = {}
     for h in range(6, 27):
         reps.update(_orbit_representatives(3, 0b111111 | 1 << h))
-    near = {c for c in reps if _component(tables.near, c & -c, c) == c}
+    near = {c for c in reps if _spans(c, (1 << 27) - 1 & ~(1 << 13), tables)}
     bound = {c for c in reps if _spans(c, _edge_bound(c, tables), tables)}
     live = {c for c in reps if _spans(c, _scc_live(_successors(DigitSet.from_code(c).cells(), tables)), tables)}
     assert live <= bound <= near
@@ -571,6 +571,7 @@ def test_exported_values_are_immutable():
             with pytest.raises(AttributeError):
                 setattr(value, name, getattr(value, name))
         assert value == twin and hash(value) == hash(twin)
+        assert value != object() and repr(value) and str(value)
     codes = [GraphCode(7, 5), GraphCode(n_vertices=6, bits=9), GraphCode(7, 1), GraphCode(6, 12)]
     assert sorted(codes) == sorted(codes, key=lambda c: (c.n_vertices, c.bits))
     assert [c.hex for c in sorted(codes)] == ["6:9", "6:c", "7:1", "7:5"]

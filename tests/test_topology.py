@@ -8,12 +8,13 @@ from fracube.core import CUBE_GROUP, DigitSet, apply_isometry, parse_digitset
 from fracube.errors import Disconnected, InternalInconsistency, OnePointViolation
 from fracube.faces import _edge_bound, build_automaton, classify_face, offset_enc, tables_for_order
 from fracube.oracle import FaceCardinality, oracle_face_cardinality
+from fracube import pipeline, topology
 from fracube.pipeline import bundled_labels
 from fracube.topology import (
     GraphCode,
     PieceGraph,
-    _component,
     _connected,
+    _offset_rows,
     _piece_pairs,
     _spans,
     bipartite_graph,
@@ -37,6 +38,8 @@ FULL = DigitSet.from_code((1 << 27) - 1)
 # a dendrite with one point in three pieces, and a set of the same graph code without one
 TRIPLE_POINT = parse_digitset("200_120_220_101_201_011_211_021_002")
 TRIPLE_POINT_TWIN = parse_digitset("000_110_120_220_011_111_021_221_102")
+# the mask of all 26 offsets: every pair of cells whose digits differ by an offset
+ALL_OFFSETS = (1 << 27) - 1 & ~(1 << 13)
 
 
 def brute_isomorphic(n, e1, e2):
@@ -69,14 +72,15 @@ def test_piece_pairs_match_digit_differences():
 
 
 def test_spans_matches_the_pair_list_route():
-    # the cell floods against the pair-list routes: _component over whole
-    # near masks against _connected over _piece_pairs, and _spans with the
+    # the cell floods against the pair-list routes: _spans through all 26
+    # offsets against _connected over _piece_pairs, and _spans with the
     # live mask against the classified piece graph; the scan's prefilter,
     # _spans with the edge bound, lies between them
     rng = random.Random(1931)
     seen = set()
     for n in range(2, 6):
         tables = tables_for_order(n)
+        near = _offset_rows(n, ALL_OFFSETS)
         ncells = n ** 3
         cases = [1 << rng.randrange(ncells) for _ in range(5)]
         for k in range(150):
@@ -88,12 +92,12 @@ def test_spans_matches_the_pair_list_route():
             if k % 3 == 2:
                 # one cell that no other cell is near
                 lone = rng.randrange(ncells)
-                code = code & ~tables.near[lone] | 1 << lone
+                code = code & ~near[lone] | 1 << lone
             cases.append(code)
         for code in cases:
             ds = DigitSet.from_code(code, n=n)
             cells = ds.cells()
-            potential = _component(tables.near, code & -code, code) == code
+            potential = _spans(code, ALL_OFFSETS, tables)
             assert potential == _connected(len(cells), _piece_pairs(cells, tables)), ds
             exact = _spans(code, build_automaton(ds)[0], tables)
             assert exact == piece_adjacency(ds).is_connected_graph(), ds
@@ -103,6 +107,48 @@ def test_spans_matches_the_pair_list_route():
     # other orders have sets apart, sets near but not touching, and connected sets
     assert {(p, e) for m, p, e in seen if m == 2} == {(True, True)}
     assert seen >= {(n, p, e) for n in range(3, 6) for p, e in ((False, False), (True, False), (True, True))}
+
+
+def _rows_mismatch(n, masks):
+    """The first mask whose cached rows differ from a build out of ``pair_off``, else None."""
+    tables = tables_for_order(n)
+    ncells, pair_off = tables.ncells, tables.pair_off
+    for mask in masks:
+        expected = tuple(sum(1 << b for b in range(ncells)
+                             if pair_off[a * ncells + b] != 255 and mask >> pair_off[a * ncells + b] & 1)
+                         for a in range(ncells))
+        if _offset_rows(n, mask) != expected:
+            return mask
+    return None
+
+
+def test_offset_rows_match_the_pair_offsets(monkeypatch):
+    # rows[a] holds the cells b with pair_off[a * ncells + b] in the mask: over
+    # every mask the (3, 7) scan's two floods see, and seeded masks closed
+    # under negation at orders 2 to 5
+    masks = set()
+    spans = pipeline._spans
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_spans", lambda code, offsets, tables: masks.add(offsets) or spans(code, offsets, tables))
+        pipeline.classify_all(3, 7)
+    assert len(masks) > 100
+    assert _rows_mismatch(3, sorted(masks)) is None
+    rng = random.Random(2213)
+    for n in range(2, 6):
+        closed = [sum(1 << u | 1 << 26 - u for u in range(13) if half >> u & 1)
+                  for half in [0, 8191] + [rng.randrange(8192) for _ in range(30)]]
+        assert _rows_mismatch(n, closed) is None, n
+    # the check catches a pair table that lost one offset's pairs
+    topology._offset_rows.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            tables = tables_for_order(3)
+            dropped = offset_enc((1, 0, 0))
+            m.setattr(tables, "offset_pairs", [[] if u == dropped else pairs
+                                               for u, pairs in enumerate(tables.offset_pairs)])
+            assert _rows_mismatch(3, sorted(masks)) is not None
+    finally:
+        topology._offset_rows.cache_clear()
 
 
 def test_is_connected_classifies_no_face():
